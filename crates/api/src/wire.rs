@@ -290,38 +290,14 @@ pub struct MetricsResponse {
     pub corrector: CorrectorMetrics,
 }
 
-/// Cumulative [`BatchPredictor`](../pmt_core/struct.BatchPredictor.html)
-/// memo counters, summed over every batch flight's `memo_stats()`
-/// snapshot. Entries equal misses by construction (every miss inserts
-/// exactly one entry); both are reported so the invariant is checkable
-/// over the wire.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct MemoMetrics {
-    /// Cache-query memo entries created.
-    pub cache_entries: u64,
-    /// Cache queries answered from the memo.
-    pub cache_hits: u64,
-    /// Cache queries computed.
-    pub cache_misses: u64,
-    /// Stride-walk memo entries created.
-    pub stride_entries: u64,
-    /// Stride walks replayed from the memo.
-    pub stride_hits: u64,
-    /// Stride walks computed.
-    pub stride_misses: u64,
-    /// CP(ROB) memo entries created.
-    pub cp_entries: u64,
-    /// Critical-path lookups replayed from the memo.
-    pub cp_hits: u64,
-    /// Critical-path lookups computed.
-    pub cp_misses: u64,
-    /// Branch-penalty memo entries created.
-    pub branch_entries: u64,
-    /// Branch penalties replayed from the memo.
-    pub branch_hits: u64,
-    /// Branch penalties computed.
-    pub branch_misses: u64,
-}
+/// Cumulative `BatchPredictor` memo counters, summed over every batch
+/// flight's `memo_stats()` snapshot — the core's own [`MemoStats`],
+/// whose field names and order are the wire layout. Entries equal
+/// misses by construction (every miss inserts exactly one entry); both
+/// are reported so the invariant is checkable over the wire.
+///
+/// [`MemoStats`]: pmt_core::MemoStats
+pub use pmt_core::MemoStats as MemoMetrics;
 
 /// Corrector counters of a [`MetricsResponse`]: whether a
 /// [`ResidualModel`](crate::ResidualModel) rode along at boot and how

@@ -1,32 +1,33 @@
 //! Flat structure-of-arrays storage for a [`PreparedProfile`]'s fitted
-//! StatStack curves.
+//! StatStack curves — the only place a fitted curve is kept.
 //!
-//! A prepared profile owns one fitted curve per query site — the
+//! A prepared profile has one fitted curve per query site: the
 //! instruction path, the global load/store models, and a loads/stores
-//! pair per micro-trace window — each behind its own `Arc`. The scalar
-//! path chases those `Arc`s per design point. [`CurveArena`] instead
-//! copies every curve's `(floors, survival, stack)` knots once into
-//! three shared flat arrays, indexed by [`CurveId::arena_index`]
-//! evaluation order, so a whole batch of design points answers its
-//! miss-ratio / critical-reuse-distance queries from contiguous sorted
-//! storage with the branchless [`search_f64`]/[`search_u64`].
+//! pair per micro-trace window. [`PreparedProfile::new`] fits each one,
+//! copies its `(floors, survival, stack)` knots into three shared flat
+//! arrays, and drops the fitted model, so the arena is built exactly
+//! once per profile, indexed by [`CurveId::arena_index`] evaluation
+//! order. Every design point — one-off or batched — answers its
+//! miss-ratio / critical-reuse-distance queries from this contiguous
+//! sorted storage with the branchless [`search_f64`]/[`search_u64`].
 //!
 //! The query routines are line-for-line transcriptions of
 //! `StackDistanceModel::critical_reuse_distance` / `miss_ratio`
 //! (including the `Err(0)`/saturated edge cases and the
-//! interpolate-within-segment step), with one deliberate saving: a
-//! [`CachePoint`] computes each level's critical distance once and feeds
-//! it straight into the miss-ratio lookup, where the scalar
-//! `CacheModel::from_fitted` recomputes it inside `miss_ratio`. Same
-//! deterministic function of the same inputs, half the searches —
-//! bit-identical results, pinned by the differential tests below and the
-//! conformance suite.
+//! interpolate-within-segment step), with one deliberate saving:
+//! [`evaluate`](CurveArena::evaluate) computes each level's critical
+//! distance once and feeds it straight into the miss-ratio lookup, where
+//! the scalar `CacheModel::from_fitted` recomputes it inside
+//! `miss_ratio`. Same deterministic function of the same inputs, half
+//! the searches — bit-identical results, pinned by the differential
+//! tests below and the conformance suite.
 //!
+//! [`PreparedProfile`]: crate::PreparedProfile
+//! [`PreparedProfile::new`]: crate::PreparedProfile::new
 //! [`CurveId::arena_index`]: crate::model::CurveId::arena_index
 
-use crate::cache_model::MissRatios;
+use crate::cache_model::{CacheModel, MissRatios};
 use crate::kernels::search::{search_f64, search_u64};
-use crate::prepared::PreparedProfile;
 use pmt_statstack::StackDistanceModel;
 
 /// One curve's slice of the arena plus its query-relevant scalars.
@@ -46,41 +47,20 @@ pub(crate) struct CurveArena {
     stack: Vec<f64>,
 }
 
-/// The machine-dependent answers for one curve at one line-count triple —
-/// exactly the fields `CacheModel::from_fitted` derives.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct CachePoint {
-    /// Critical reuse distance per level.
-    pub(crate) critical_rd: [u64; 3],
-    /// Miss ratio per level.
-    pub(crate) ratios: MissRatios,
-    /// Cold-access fraction of the curve.
-    pub(crate) cold_fraction: f64,
-}
-
 impl CurveArena {
-    /// Lay out every fitted curve of `prepared` in evaluation order:
-    /// instruction, global loads, global stores, then each window's
-    /// loads/stores pair.
-    pub(crate) fn new(prepared: &PreparedProfile<'_>) -> CurveArena {
-        let mut arena = CurveArena {
-            spans: Vec::new(),
-            floors: Vec::new(),
-            survival: Vec::new(),
-            stack: Vec::new(),
-        };
-        arena.push(prepared.inst_model());
-        let (global_loads, global_stores) = prepared.global_models();
-        arena.push(global_loads);
-        arena.push(global_stores);
-        for pw in prepared.windows() {
-            arena.push(&pw.loads);
-            arena.push(&pw.stores);
+    /// An empty arena with room for `curves` curves of `knots` knots
+    /// each.
+    pub(crate) fn with_capacity(curves: usize, knots: usize) -> CurveArena {
+        CurveArena {
+            spans: Vec::with_capacity(curves),
+            floors: Vec::with_capacity(curves * knots),
+            survival: Vec::with_capacity(curves * knots),
+            stack: Vec::with_capacity(curves * knots),
         }
-        arena
     }
 
-    fn push(&mut self, model: &StackDistanceModel) {
+    /// Append `model`'s knots as the next curve in evaluation order.
+    pub(crate) fn push(&mut self, model: &StackDistanceModel) {
         let (floors, survival, stack) = model.curve();
         self.spans.push(CurveSpan {
             start: self.floors.len(),
@@ -95,7 +75,7 @@ impl CurveArena {
 
     /// Answer every query `CacheModel::from_fitted` would make for curve
     /// `curve` at per-level line counts `lines`, bit-identically.
-    pub(crate) fn evaluate(&self, curve: u32, lines: [u64; 3]) -> CachePoint {
+    pub(crate) fn evaluate(&self, curve: u32, lines: [u64; 3]) -> CacheModel {
         let span = &self.spans[curve as usize];
         let critical_rd = [
             self.critical_rd(span, lines[0]),
@@ -107,11 +87,7 @@ impl CurveArena {
             l2: self.miss_ratio(span, lines[1], critical_rd[1]),
             l3: self.miss_ratio(span, lines[2], critical_rd[2]),
         };
-        CachePoint {
-            critical_rd,
-            ratios,
-            cold_fraction: span.cold_fraction,
-        }
+        CacheModel::from_parts(critical_rd, ratios, span.cold_fraction)
     }
 
     /// `StackDistanceModel::critical_reuse_distance`, transcribed onto
@@ -164,17 +140,10 @@ impl CurveArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache_model::CacheModel;
     use proptest::prelude::*;
-    use std::sync::Arc;
 
     fn arena_of(models: &[&StackDistanceModel]) -> CurveArena {
-        let mut arena = CurveArena {
-            spans: Vec::new(),
-            floors: Vec::new(),
-            survival: Vec::new(),
-            stack: Vec::new(),
-        };
+        let mut arena = CurveArena::with_capacity(models.len(), 0);
         for m in models {
             arena.push(m);
         }
@@ -217,7 +186,7 @@ mod tests {
     fn assert_agrees(model: &StackDistanceModel, lines: [u64; 3]) {
         let arena = arena_of(&[model]);
         let fast = arena.evaluate(0, lines);
-        let reference = CacheModel::from_fitted(&Arc::new(model.clone()), lines);
+        let reference = CacheModel::from_fitted(model, lines);
         assert_eq!(fast.critical_rd, reference.critical_rd, "crit at {lines:?}");
         for (a, b) in [
             (fast.ratios.l1, reference.ratios.l1),
@@ -227,7 +196,7 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "ratio {a} vs {b} at {lines:?}");
         }
         assert_eq!(
-            fast.cold_fraction.to_bits(),
+            fast.cold_fraction().to_bits(),
             reference.cold_fraction().to_bits()
         );
     }
@@ -313,8 +282,8 @@ mod tests {
         let lines = [2, 4, 8];
         let fast_a = arena.evaluate(0, lines);
         let fast_b = arena.evaluate(1, lines);
-        let ref_a = CacheModel::from_fitted(&Arc::new(a), lines);
-        let ref_b = CacheModel::from_fitted(&Arc::new(b), lines);
+        let ref_a = CacheModel::from_fitted(&a, lines);
+        let ref_b = CacheModel::from_fitted(&b, lines);
         assert_eq!(fast_a.critical_rd, ref_a.critical_rd);
         assert_eq!(fast_b.critical_rd, ref_b.critical_rd);
         assert_eq!(fast_a.ratios.l3.to_bits(), ref_a.ratios.l3.to_bits());

@@ -1,10 +1,12 @@
 //! The batched prediction path: one [`BatchPredictor`] per
 //! (prepared profile, model config) evaluates a whole chunk of design
-//! points, answering curve queries from the flat `CurveArena` and
-//! memoizing the expensive machine-dependent computations across
-//! points.
+//! points, answering curve queries from the prepared profile's curve
+//! arena and memoizing the expensive machine-dependent computations
+//! across points. The arena is built once, in `PreparedProfile::new`;
+//! a predictor only borrows it, so building one allocates nothing but
+//! empty memo tables.
 //!
-//! # Why the results are bit-identical to the scalar path
+//! # Why the results are bit-identical to the one-point path
 //!
 //! The predictor runs the *same* `Evaluator` arithmetic as
 //! `IntervalModel::predict_summary` — only the `EvalHooks` differ, and
@@ -13,9 +15,8 @@
 //!
 //! * **Cache queries** are keyed by `(curve, per-level line counts)` —
 //!   the complete input set of `CacheModel::from_fitted` — and answered
-//!   by the arena's transcription of the scalar searches. A memo hit
-//!   replays bytes the transcription produced earlier for identical
-//!   inputs.
+//!   by the same arena query the one-point path makes. A memo hit
+//!   replays bytes that query produced earlier for identical inputs.
 //! * **Stride walks** are keyed by every machine-dependent value
 //!   `StrideMlpModel::evaluate_stream` reads for a fixed window: the
 //!   window identity (fixing skeleton, static loads, stream length and
@@ -26,7 +27,7 @@
 //!   DRAM latency and the effective dispatch rate. `llc_store_misses`
 //!   is a pure pass-through in the walk, so it stays out of the key and
 //!   is overwritten with the current point's value after a hit. A miss
-//!   computes through the very same `stride_stream_behavior` the scalar
+//!   computes through the very same `stride_stream_behavior` the default
 //!   hooks call.
 //! * **Critical paths and branch penalties** are keyed by their complete
 //!   input sets — `(window, rob)` for CP(ROB), and the window plus every
@@ -45,17 +46,16 @@
 use crate::branch_penalty::{branch_penalty, BranchPenalty};
 use crate::cache_model::CacheModel;
 use crate::config::ModelConfig;
-use crate::kernels::arena::{CachePoint, CurveArena};
+use crate::kernels::arena::CurveArena;
 use crate::mlp::MemoryBehavior;
 use crate::model::{
     stride_stream_behavior, CurveId, EvalHooks, Evaluator, PredictionSummary, WindowInputs,
 };
 use crate::prepared::PreparedProfile;
-use pmt_statstack::StackDistanceModel;
 use pmt_uarch::MachineConfig;
+use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Complete input set of a cache query: which curve, at which per-level
 /// line counts.
@@ -98,9 +98,9 @@ struct BranchKey {
 /// holds and how the lookups split into hits and misses. Every miss
 /// inserts exactly one entry, so `*_entries == *_misses` always holds —
 /// the snapshot reports both so the invariant is checkable from the
-/// outside (the serve `/metrics` endpoint and the `speedup` binary both
-/// surface these numbers).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// outside (the serve `/metrics` endpoint, as `pmt_api::MemoMetrics`,
+/// and the `speedup` binary both surface these numbers).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoStats {
     /// Cache-query memo (curve × per-level line counts) entries.
     pub cache_entries: u64,
@@ -138,19 +138,22 @@ impl MemoStats {
     pub fn misses(&self) -> u64 {
         self.cache_misses + self.stride_misses + self.cp_misses + self.branch_misses
     }
-}
 
-/// Running hit/miss tallies, bumped inside the hooks.
-#[derive(Debug, Default)]
-struct MemoCounters {
-    cache_hits: u64,
-    cache_misses: u64,
-    stride_hits: u64,
-    stride_misses: u64,
-    cp_hits: u64,
-    cp_misses: u64,
-    branch_hits: u64,
-    branch_misses: u64,
+    /// Add `other`'s counts to these, field by field.
+    pub fn add(&mut self, other: &MemoStats) {
+        self.cache_entries += other.cache_entries;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.stride_entries += other.stride_entries;
+        self.stride_hits += other.stride_hits;
+        self.stride_misses += other.stride_misses;
+        self.cp_entries += other.cp_entries;
+        self.cp_hits += other.cp_hits;
+        self.cp_misses += other.cp_misses;
+        self.branch_entries += other.branch_entries;
+        self.branch_hits += other.branch_hits;
+        self.branch_misses += other.branch_misses;
+    }
 }
 
 /// Batched predictor for one prepared profile under one model
@@ -163,30 +166,29 @@ struct MemoCounters {
 pub struct BatchPredictor<'p, 'a> {
     prepared: &'p PreparedProfile<'a>,
     config: ModelConfig,
-    arena: CurveArena,
-    cache_memo: HashMap<CacheKey, CachePoint>,
+    cache_memo: HashMap<CacheKey, CacheModel>,
     stride_memo: HashMap<StrideKey, MemoryBehavior>,
     /// CP(ROB) per `(window, rob)`.
     cp_memo: HashMap<(u32, u32), f64>,
     /// Branch penalties per complete leaky-bucket input set.
     branch_memo: HashMap<BranchKey, BranchPenalty>,
-    counters: MemoCounters,
+    /// Running hit/miss tallies, bumped inside the hooks; the entry
+    /// counts are read off the memo tables at snapshot time.
+    counters: MemoStats,
 }
 
 impl<'p, 'a> BatchPredictor<'p, 'a> {
-    /// Lay the profile's fitted curves out as flat SoA arrays and set up
-    /// empty memo tables. One config clone total — per-point evaluation
-    /// clones nothing.
+    /// Borrow the profile's curve arena and set up empty memo tables.
+    /// One config clone total — per-point evaluation clones nothing.
     pub fn new(prepared: &'p PreparedProfile<'a>, config: &ModelConfig) -> BatchPredictor<'p, 'a> {
         BatchPredictor {
             prepared,
             config: config.clone(),
-            arena: CurveArena::new(prepared),
             cache_memo: HashMap::new(),
             stride_memo: HashMap::new(),
             cp_memo: HashMap::new(),
             branch_memo: HashMap::new(),
-            counters: MemoCounters::default(),
+            counters: MemoStats::default(),
         }
     }
 
@@ -195,17 +197,10 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
     pub fn memo_stats(&self) -> MemoStats {
         MemoStats {
             cache_entries: self.cache_memo.len() as u64,
-            cache_hits: self.counters.cache_hits,
-            cache_misses: self.counters.cache_misses,
             stride_entries: self.stride_memo.len() as u64,
-            stride_hits: self.counters.stride_hits,
-            stride_misses: self.counters.stride_misses,
             cp_entries: self.cp_memo.len() as u64,
-            cp_hits: self.counters.cp_hits,
-            cp_misses: self.counters.cp_misses,
             branch_entries: self.branch_memo.len() as u64,
-            branch_hits: self.counters.branch_hits,
-            branch_misses: self.counters.branch_misses,
+            ..self.counters
         }
     }
 
@@ -219,7 +214,7 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
     /// config).predict_summary(prepared)`.
     pub fn predict_summary(&mut self, machine: &MachineConfig) -> PredictionSummary {
         let mut hooks = BatchHooks {
-            arena: &self.arena,
+            arena: self.prepared.arena(),
             cache_memo: &mut self.cache_memo,
             stride_memo: &mut self.stride_memo,
             cp_memo: &mut self.cp_memo,
@@ -273,22 +268,17 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
 /// borrowed.
 struct BatchHooks<'s> {
     arena: &'s CurveArena,
-    cache_memo: &'s mut HashMap<CacheKey, CachePoint>,
+    cache_memo: &'s mut HashMap<CacheKey, CacheModel>,
     stride_memo: &'s mut HashMap<StrideKey, MemoryBehavior>,
     cp_memo: &'s mut HashMap<(u32, u32), f64>,
     branch_memo: &'s mut HashMap<BranchKey, BranchPenalty>,
-    counters: &'s mut MemoCounters,
+    counters: &'s mut MemoStats,
 }
 
 impl EvalHooks for BatchHooks<'_> {
-    fn cache_model(
-        &mut self,
-        id: CurveId,
-        model: &Arc<StackDistanceModel>,
-        lines: [u64; 3],
-    ) -> CacheModel {
+    fn cache_model(&mut self, id: CurveId, lines: [u64; 3]) -> CacheModel {
         let curve = id.arena_index();
-        let point = match self.cache_memo.entry((curve, lines)) {
+        match self.cache_memo.entry((curve, lines)) {
             Entry::Occupied(hit) => {
                 self.counters.cache_hits += 1;
                 *hit.get()
@@ -297,8 +287,7 @@ impl EvalHooks for BatchHooks<'_> {
                 self.counters.cache_misses += 1;
                 *slot.insert(self.arena.evaluate(curve, lines))
             }
-        };
-        CacheModel::from_parts(model, point.critical_rd, point.ratios, point.cold_fraction)
+        }
     }
 
     fn stride(

@@ -1,27 +1,34 @@
-//! Batched structure-of-arrays prediction kernels.
+//! Structure-of-arrays prediction kernels.
 //!
-//! The scalar hot path ([`IntervalModel::predict_summary`]) evaluates one
-//! design point at a time: per point it chases one `Arc` per fitted
-//! StatStack curve, runs six binary searches per curve, and re-walks the
-//! stride-MLP virtual stream. This module restructures that work around
-//! *batches* of design points:
+//! A design point's machine-dependent work is mostly curve queries
+//! (critical reuse distance and miss ratio per cache level, per fitted
+//! StatStack curve), the stride-MLP virtual-stream walk, CP(ROB) and the
+//! branch penalty. This module lays that work out for speed, for single
+//! points and batches alike:
 //!
 //! * `arena` *(internal)* — every fitted curve of a
-//!   [`PreparedProfile`](crate::PreparedProfile) laid out once as flat
-//!   sorted SoA arrays (`floors`/`survival`/`stack`), queried in place;
+//!   [`PreparedProfile`](crate::PreparedProfile), laid out as flat
+//!   sorted SoA arrays (`floors`/`survival`/`stack`) when the profile is
+//!   prepared. It is the only store of fitted curves: both
+//!   [`IntervalModel::predict_summary`] and [`BatchPredictor`] query it
+//!   in place;
 //! * [`search`] — the branchless sorted-slice search those queries use,
 //!   probe-for-probe identical to `std`'s binary search;
 //! * [`lanes`] — chunked elementwise f64 arithmetic (`core::arch` SIMD
 //!   behind a scalar-identical runtime-selected fallback;
 //!   `PMT_FORCE_SCALAR=1` forces the fallback) for the outer
 //!   per-point arrays (CPI, seconds);
-//! * [`BatchPredictor`] — the entry point: one per (prepared profile,
-//!   config), memoizing curve queries and stride walks across the
-//!   points of a batch.
+//! * [`BatchPredictor`] — the batch entry point: one per (prepared
+//!   profile, config), borrowing the arena and memoizing curve queries,
+//!   stride walks, CP(ROB) and branch penalties across the points of a
+//!   batch.
 //!
-//! Everything here is bit-identical to the scalar path by construction
-//! (same arithmetic, same probe sequences, per-lane correctly-rounded
-//! SIMD); `crates/core/tests/batch_identity.rs` pins it.
+//! Everything here is bit-identical to the scalar reference
+//! (`crate::reference`: curves refitted and queried through
+//! `CacheModel::from_fitted`) by construction (same arithmetic, same
+//! probe sequences, per-lane correctly-rounded SIMD);
+//! `crates/core/tests/batch_identity.rs` and `prepared_identity.rs` pin
+//! it.
 //!
 //! [`IntervalModel::predict_summary`]: crate::IntervalModel::predict_summary
 

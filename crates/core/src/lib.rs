@@ -61,6 +61,8 @@ mod model;
 mod moments;
 pub mod multicore;
 mod prepared;
+#[doc(hidden)]
+pub mod reference;
 pub mod smt;
 
 pub use config::{EvaluationMode, MlpModelKind, ModelConfig};

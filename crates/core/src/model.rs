@@ -4,6 +4,7 @@ use crate::branch_penalty::{branch_penalty, BranchPenalty};
 use crate::cache_model::CacheModel;
 use crate::config::{EvaluationMode, MlpModelKind, ModelConfig};
 use crate::dispatch::{effective_dispatch_rate, DispatchBreakdown};
+use crate::kernels::arena::CurveArena;
 use crate::llc_chaining::{chain_penalty_total, ChainInputs};
 use crate::mlp::{cold_miss_mlp, MemoryBehavior, StrideMlpModel, VirtualStream};
 use crate::prepared::{PreparedProfile, PreparedWindow};
@@ -11,11 +12,9 @@ use pmt_profiler::{
     ApplicationProfile, DependenceProfile, LoadDependenceDistribution, MicroTraceProfile,
     StaticLoadProfile,
 };
-use pmt_statstack::StackDistanceModel;
 use pmt_trace::UopClass;
 use pmt_uarch::{ActivityVector, CpiComponent, CpiStack, MachineConfig};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Prediction for one evaluation window (a micro-trace's window, or the
 /// whole application in combined mode).
@@ -319,7 +318,29 @@ impl IntervalModel {
     /// [`PreparedProfile::new`]. Bit-identical to
     /// [`predict`](Self::predict).
     pub fn predict_prepared(&self, prepared: &PreparedProfile<'_>) -> Prediction {
-        let (summary, windows) = self.evaluate_prepared(prepared, true);
+        self.predict_with(prepared, &mut ArenaHooks(prepared.arena()))
+    }
+
+    /// The sweep-oriented variant of
+    /// [`predict_prepared`](Self::predict_prepared): identical arithmetic,
+    /// but the per-window predictions are folded on the fly instead of
+    /// collected and the workload name is not cloned — no per-point heap
+    /// traffic beyond the model's own scratch. Every summary field is
+    /// bit-identical to the corresponding [`Prediction`] field
+    /// ([`Prediction::summary`]).
+    pub fn predict_summary(&self, prepared: &PreparedProfile<'_>) -> PredictionSummary {
+        self.evaluator()
+            .run(prepared, false, &mut ArenaHooks(prepared.arena()))
+            .0
+    }
+
+    /// A full prediction, windows included, through `hooks`.
+    pub(crate) fn predict_with(
+        &self,
+        prepared: &PreparedProfile<'_>,
+        hooks: &mut impl EvalHooks,
+    ) -> Prediction {
+        let (summary, windows) = self.evaluator().run(prepared, true, hooks);
         Prediction {
             name: prepared.profile().name.clone(),
             instructions: summary.instructions,
@@ -333,35 +354,17 @@ impl IntervalModel {
         }
     }
 
-    /// The sweep-oriented variant of
-    /// [`predict_prepared`](Self::predict_prepared): identical arithmetic,
-    /// but the per-window predictions are folded on the fly instead of
-    /// collected and the workload name is not cloned — no per-point heap
-    /// traffic beyond the model's own scratch. Every summary field is
-    /// bit-identical to the corresponding [`Prediction`] field
-    /// ([`Prediction::summary`]).
-    pub fn predict_summary(&self, prepared: &PreparedProfile<'_>) -> PredictionSummary {
-        self.evaluate_prepared(prepared, false).0
-    }
-
-    /// Shared evaluation core: walk the windows once, combining as we go;
-    /// keep the per-window predictions only when `collect_windows` asks.
-    fn evaluate_prepared(
-        &self,
-        prepared: &PreparedProfile<'_>,
-        collect_windows: bool,
-    ) -> (PredictionSummary, Vec<WindowPrediction>) {
+    fn evaluator(&self) -> Evaluator<'_> {
         Evaluator {
             machine: &self.machine,
             config: &self.config,
         }
-        .run(prepared, collect_windows, &mut DirectHooks)
     }
 }
 
 /// Identifies one fitted StatStack curve of a [`PreparedProfile`] across
-/// an evaluation — the key batched hooks use to find the curve's flat SoA
-/// storage and memoize queries against it.
+/// an evaluation — the key hooks use to find the curve's flat SoA storage
+/// in the arena and memoize queries against it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum CurveId {
     /// The instruction-path model.
@@ -379,7 +382,8 @@ pub(crate) enum CurveId {
 impl CurveId {
     /// Position of this curve in [`PreparedProfile`] evaluation order
     /// (instruction, global loads, global stores, then each window's
-    /// loads/stores pair) — the layout `kernels::CurveArena` builds.
+    /// loads/stores pair) — the layout [`PreparedProfile::new`] builds
+    /// the curve arena in.
     pub(crate) fn arena_index(self) -> u32 {
         match self {
             CurveId::Inst => 0,
@@ -391,20 +395,16 @@ impl CurveId {
     }
 }
 
-/// The two machine-dependent computations [`Evaluator`] delegates, so the
-/// batched kernels can answer them from flat SoA curves and per-batch
-/// memoization while the scalar path computes them directly. Both
-/// implementations must return bit-identical values — the conformance
-/// suite (`tests/batch_identity.rs`) pins this on each path.
+/// The machine-dependent computations [`Evaluator`] delegates, so the
+/// batched kernels can memoize them across design points while the
+/// one-point path computes them directly. Every implementation must
+/// return bit-identical values — the conformance suites
+/// (`tests/batch_identity.rs`, `tests/prepared_identity.rs`) pin each
+/// path against the scalar reference in `crate::reference`.
 pub(crate) trait EvalHooks {
-    /// Resolve one fitted curve's machine-dependent cache queries:
+    /// Resolve fitted curve `id`'s machine-dependent cache queries:
     /// critical reuse distances and miss ratios at `lines`.
-    fn cache_model(
-        &mut self,
-        id: CurveId,
-        model: &Arc<StackDistanceModel>,
-        lines: [u64; 3],
-    ) -> CacheModel;
+    fn cache_model(&mut self, id: CurveId, lines: [u64; 3]) -> CacheModel;
 
     /// Run the stride-MLP virtual-stream walk for one window.
     fn stride(
@@ -414,7 +414,9 @@ pub(crate) trait EvalHooks {
         inp: &WindowInputs<'_>,
         loads: f64,
         store_llc_misses: f64,
-    ) -> MemoryBehavior;
+    ) -> MemoryBehavior {
+        stride_stream_behavior(machine, deff, inp, loads, store_llc_misses)
+    }
 
     /// CP(ROB): the window dependency profile's critical-path length.
     /// A pure function of `(window, rob)` — the batched hooks memoize it.
@@ -439,35 +441,20 @@ pub(crate) trait EvalHooks {
     }
 }
 
-/// The scalar path: every query computed directly, exactly as the
-/// one-point model always has.
-pub(crate) struct DirectHooks;
+/// The memo-less hooks behind [`IntervalModel`]: every cache query
+/// answered straight from the prepared profile's curve arena, everything
+/// else computed directly.
+struct ArenaHooks<'p>(&'p CurveArena);
 
-impl EvalHooks for DirectHooks {
-    fn cache_model(
-        &mut self,
-        _id: CurveId,
-        model: &Arc<StackDistanceModel>,
-        lines: [u64; 3],
-    ) -> CacheModel {
-        CacheModel::from_fitted(model, lines)
-    }
-
-    fn stride(
-        &mut self,
-        machine: &MachineConfig,
-        deff: f64,
-        inp: &WindowInputs<'_>,
-        loads: f64,
-        store_llc_misses: f64,
-    ) -> MemoryBehavior {
-        stride_stream_behavior(machine, deff, inp, loads, store_llc_misses)
+impl EvalHooks for ArenaHooks<'_> {
+    fn cache_model(&mut self, id: CurveId, lines: [u64; 3]) -> CacheModel {
+        self.0.evaluate(id.arena_index(), lines)
     }
 }
 
-/// The stride-MLP walk both hook implementations share: the batched path
-/// calls this on a memo miss, so a memo hit replays bytes produced by
-/// this very computation.
+/// The stride-MLP walk behind the default [`EvalHooks::stride`]: the
+/// batched path calls this on a memo miss, so a memo hit replays bytes
+/// produced by this very computation.
 pub(crate) fn stride_stream_behavior(
     machine: &MachineConfig,
     deff: f64,
@@ -504,11 +491,8 @@ impl Evaluator<'_> {
         hooks: &mut impl EvalHooks,
     ) -> (PredictionSummary, Vec<WindowPrediction>) {
         let profile = prepared.profile();
-        let inst_model = hooks.cache_model(
-            CurveId::Inst,
-            prepared.inst_model(),
-            CacheModel::inst_lines(&self.machine.caches),
-        );
+        let inst_model =
+            hooks.cache_model(CurveId::Inst, CacheModel::inst_lines(&self.machine.caches));
 
         let mut combiner = Combiner::default();
         let mut windows = Vec::new();
@@ -557,8 +541,8 @@ impl Evaluator<'_> {
             deps: &t.deps,
             load_deps: &t.load_deps,
             entropy: pw.entropy,
-            loads_model: hooks.cache_model(CurveId::WindowLoads(wi), &pw.loads, data_lines),
-            stores_model: hooks.cache_model(CurveId::WindowStores(wi), &pw.stores, data_lines),
+            loads_model: hooks.cache_model(CurveId::WindowLoads(wi), data_lines),
+            stores_model: hooks.cache_model(CurveId::WindowStores(wi), data_lines),
             static_loads: &t.static_loads,
             stream: &pw.stream,
             stream_uops: t.uops,
@@ -581,7 +565,6 @@ impl Evaluator<'_> {
         // inputs are unused).
         let (static_loads, stream_uops, stream) = prepared.combined_stride_inputs();
         let data_lines = CacheModel::data_lines(&self.machine.caches);
-        let (global_loads, global_stores) = prepared.global_models();
         WindowInputs {
             window: 0,
             index: 0,
@@ -590,8 +573,8 @@ impl Evaluator<'_> {
             deps: &profile.deps,
             load_deps: &profile.load_deps,
             entropy: profile.branch.entropy,
-            loads_model: hooks.cache_model(CurveId::GlobalLoads, global_loads, data_lines),
-            stores_model: hooks.cache_model(CurveId::GlobalStores, global_stores, data_lines),
+            loads_model: hooks.cache_model(CurveId::GlobalLoads, data_lines),
+            stores_model: hooks.cache_model(CurveId::GlobalStores, data_lines),
             static_loads,
             stream,
             stream_uops,

@@ -6,16 +6,19 @@
 //! predict many. [`PreparedProfile`] makes the "once" part explicit. It
 //! fits every StatStack model the interval model will ever query (the
 //! per-micro-trace load/store histograms, the global load/store
-//! histograms for combined mode, and the instruction path), precomputes
-//! the per-window μop class counts, entropy fallbacks and the stride-MLP
-//! virtual-stream skeletons — all of which depend only on the profile —
-//! and shares the fitted models read-only (`Arc`) so rayon workers
-//! evaluating different design points never refit or copy them.
+//! histograms for combined mode, and the instruction path) and lays each
+//! fitted curve out in one flat structure-of-arrays curve arena — the
+//! only copy of the fits; the fitted models themselves are dropped. It
+//! also precomputes the per-window μop class counts, entropy fallbacks
+//! and the stride-MLP virtual-stream skeletons — all of which depend
+//! only on the profile. Everything is read-only after construction, so
+//! rayon workers and batch predictors evaluating different design points
+//! share one preparation and never refit or copy a curve.
 //!
 //! Per design point, [`IntervalModel::predict_prepared`] then performs
-//! only the machine-*dependent* work: binary-searched miss-ratio /
-//! critical-reuse-distance queries against the prefitted models plus the
-//! Eq 3.1 arithmetic.
+//! only the machine-*dependent* work: searched miss-ratio /
+//! critical-reuse-distance queries against the arena plus the Eq 3.1
+//! arithmetic.
 //!
 //! ```
 //! use pmt_core::{IntervalModel, PreparedProfile};
@@ -36,11 +39,11 @@
 //!
 //! [`IntervalModel::predict_prepared`]: crate::IntervalModel::predict_prepared
 
+use crate::kernels::arena::CurveArena;
 use crate::mlp::VirtualStream;
 use pmt_profiler::{ApplicationProfile, StaticLoadProfile};
 use pmt_statstack::StackDistanceModel;
 use pmt_trace::UopClass;
-use std::sync::Arc;
 
 /// Machine-independent precomputation for one micro-trace window.
 pub(crate) struct PreparedWindow {
@@ -48,26 +51,20 @@ pub(crate) struct PreparedWindow {
     pub class_counts: [f64; UopClass::COUNT],
     /// Branch entropy with the too-few-branches fallback applied.
     pub entropy: f64,
-    /// Fitted StatStack model of the window's load accesses.
-    pub loads: Arc<StackDistanceModel>,
-    /// Fitted StatStack model of the window's store accesses.
-    pub stores: Arc<StackDistanceModel>,
     /// Prebuilt virtual-stream skeleton for the stride-MLP model.
     pub stream: VirtualStream,
 }
 
 /// A one-time, machine-independent compilation of an
-/// [`ApplicationProfile`]: every StatStack model prefitted, every
-/// per-window scalar precomputed. Borrow it wherever the profile lives;
-/// it is `Sync`, so one instance serves a whole rayon-parallel sweep.
+/// [`ApplicationProfile`]: every StatStack curve prefitted into one
+/// arena, every per-window scalar precomputed. Borrow it wherever the
+/// profile lives; it is `Sync`, so one instance serves a whole
+/// rayon-parallel sweep.
 pub struct PreparedProfile<'a> {
     profile: &'a ApplicationProfile,
-    /// Fitted instruction-path model.
-    inst: Arc<StackDistanceModel>,
-    /// Fitted global (combined-mode) load model.
-    global_loads: Arc<StackDistanceModel>,
-    /// Fitted global (combined-mode) store model.
-    global_stores: Arc<StackDistanceModel>,
+    /// Every fitted curve, in `CurveId` evaluation order: instruction,
+    /// global loads, global stores, then each window's loads/stores pair.
+    arena: CurveArena,
     /// Per-micro-trace precomputation, parallel to `profile.micro_traces`.
     windows: Vec<PreparedWindow>,
     /// Combined-mode μop class counts.
@@ -85,6 +82,14 @@ pub struct PreparedProfile<'a> {
 impl<'a> PreparedProfile<'a> {
     /// Fit all machine-independent models of `profile` once.
     pub fn new(profile: &'a ApplicationProfile) -> PreparedProfile<'a> {
+        // Every fit of a non-empty histogram has one knot per bin floor,
+        // so the instruction curve sizes the whole arena.
+        let inst = StackDistanceModel::from_reuse(&profile.memory.inst);
+        let mut arena =
+            CurveArena::with_capacity(3 + 2 * profile.micro_traces.len(), inst.curve().0.len());
+        arena.push(&inst);
+        arena.push(&StackDistanceModel::from_reuse(&profile.memory.loads));
+        arena.push(&StackDistanceModel::from_reuse(&profile.memory.stores));
         let windows = profile
             .micro_traces
             .iter()
@@ -106,11 +111,11 @@ impl<'a> PreparedProfile<'a> {
                 } else {
                     profile.branch.entropy
                 };
+                arena.push(&StackDistanceModel::from_reuse(&t.loads));
+                arena.push(&StackDistanceModel::from_reuse(&t.stores));
                 PreparedWindow {
                     class_counts,
                     entropy,
-                    loads: Arc::new(StackDistanceModel::from_reuse(&t.loads)),
-                    stores: Arc::new(StackDistanceModel::from_reuse(&t.stores)),
                     stream: VirtualStream::build(&t.static_loads, &t.load_deps, t.uops),
                 }
             })
@@ -129,9 +134,7 @@ impl<'a> PreparedProfile<'a> {
             .map(|t| (t.static_loads.as_slice(), t.uops))
             .unwrap_or((&[], 0));
         PreparedProfile {
-            inst: Arc::new(StackDistanceModel::from_reuse(&profile.memory.inst)),
-            global_loads: Arc::new(StackDistanceModel::from_reuse(&profile.memory.loads)),
-            global_stores: Arc::new(StackDistanceModel::from_reuse(&profile.memory.stores)),
+            arena,
             windows,
             combined_class_counts,
             combined_static,
@@ -150,14 +153,9 @@ impl<'a> PreparedProfile<'a> {
         self.profile
     }
 
-    /// Fitted instruction-path StatStack model.
-    pub(crate) fn inst_model(&self) -> &Arc<StackDistanceModel> {
-        &self.inst
-    }
-
-    /// Fitted global load/store models (combined mode).
-    pub(crate) fn global_models(&self) -> (&Arc<StackDistanceModel>, &Arc<StackDistanceModel>) {
-        (&self.global_loads, &self.global_stores)
+    /// Every fitted curve, indexed by `CurveId::arena_index`.
+    pub(crate) fn arena(&self) -> &CurveArena {
+        &self.arena
     }
 
     /// Per-micro-trace precomputations, parallel to

@@ -1,6 +1,8 @@
 //! The batched-kernel conformance suite: for every machine, profile,
-//! model configuration and batch size, [`BatchPredictor`] must return
-//! exactly the bytes the scalar `predict_summary` does. Batching moves
+//! model configuration and batch size, [`BatchPredictor`] and the
+//! one-point `predict_summary` must both return exactly the bytes of the
+//! scalar reference (`pmt_core::reference`, every curve refitted and
+//! queried through `CacheModel::from_fitted`, no memo). Batching moves
 //! work (SoA curve queries, cross-point memoization) — never arithmetic.
 //!
 //! CI runs this suite twice: once as-is (the host's SIMD level) and once
@@ -8,7 +10,7 @@
 //! on every push.
 
 use pmt_core::kernels::lanes::LANES;
-use pmt_core::{BatchPredictor, IntervalModel, ModelConfig, PreparedProfile};
+use pmt_core::{reference, BatchPredictor, IntervalModel, ModelConfig, PreparedProfile};
 use pmt_profiler::{ApplicationProfile, Profiler, ProfilerConfig};
 use pmt_uarch::{CacheConfig, DesignSpace, MachineConfig};
 use pmt_workloads::WorkloadSpec;
@@ -32,6 +34,24 @@ fn profiles() -> &'static [ApplicationProfile] {
 
 fn json<T: serde::Serialize>(v: &T) -> String {
     serde_json::to_string(v).expect("serializes")
+}
+
+/// The scalar reference summary bytes for one point, with the one-point
+/// `predict_summary` checked against them on the way.
+fn reference_summary(
+    machine: &MachineConfig,
+    config: &ModelConfig,
+    prepared: &PreparedProfile<'_>,
+) -> String {
+    let model = IntervalModel::with_config(machine, config.clone());
+    let want = json(&reference::predict(&model, prepared).summary());
+    assert_eq!(
+        json(&model.predict_summary(prepared)),
+        want,
+        "predict_summary @ {}",
+        machine.name
+    );
+    want
 }
 
 /// Random machines far outside the thesis grid (same envelope as the
@@ -73,8 +93,8 @@ fn machine_strategy() -> impl Strategy<Value = MachineConfig> {
         )
 }
 
-/// One batch through one predictor vs per-point scalar models, bytes
-/// compared via serde_json (shortest-round-trip floats: equal strings ⇔
+/// One batch through one predictor vs the per-point scalar reference,
+/// bytes compared via serde_json (shortest-round-trip floats: equal strings ⇔
 /// equal bits).
 fn assert_batch_matches_scalar(
     profile: &ApplicationProfile,
@@ -88,8 +108,8 @@ fn assert_batch_matches_scalar(
     batch.predict_batch_into(machines.iter(), &mut out);
     assert_eq!(out.len(), machines.len(), "{ctx}: batch length");
     for (machine, got) in machines.iter().zip(&out) {
-        let want = IntervalModel::with_config(machine, config.clone()).predict_summary(&prepared);
-        assert_eq!(json(&want), json(got), "{ctx} @ {}", machine.name);
+        let want = reference_summary(machine, config, &prepared);
+        assert_eq!(want, json(got), "{ctx} @ {}", machine.name);
     }
 }
 
@@ -99,7 +119,7 @@ proptest! {
     /// Adversarial batch sizes around the SIMD lane width: every prefix
     /// of a random (LANES+1)-machine batch — sizes 1, LANES−1, LANES and
     /// LANES+1 — through a *fresh* predictor (each size sees a different
-    /// memo-fill order), against per-point scalar models. Random
+    /// memo-fill order), against the per-point scalar reference. Random
     /// profiles and both evaluation modes.
     #[test]
     fn batch_matches_scalar_at_lane_straddling_sizes(
@@ -125,7 +145,7 @@ proptest! {
 
     /// Replay: the same machines pushed through one predictor twice.
     /// The second pass is pure memo hits and must reproduce the first
-    /// pass — and the scalar path — byte for byte.
+    /// pass — and the scalar reference — byte for byte.
     #[test]
     fn memo_hits_replay_identical_bytes(
         machines in prop::collection::vec(machine_strategy(), LANES),
@@ -138,9 +158,7 @@ proptest! {
         let first: Vec<String> = machines.iter().map(|m| json(&batch.predict_summary(m))).collect();
         for (machine, want) in machines.iter().zip(&first) {
             prop_assert_eq!(&json(&batch.predict_summary(machine)), want);
-            let scalar = IntervalModel::with_config(machine, config.clone())
-                .predict_summary(&prepared);
-            prop_assert_eq!(&json(&scalar), want);
+            prop_assert_eq!(&reference_summary(machine, &config, &prepared), want);
         }
     }
 }
@@ -160,7 +178,7 @@ fn empty_batch_is_empty() {
 /// identical inputs to every memoized computation (prediction never
 /// reads those fields — seconds and power are scaled downstream), so
 /// after the first rung a DVFS ladder replays pure memo hits. Every
-/// rung must still match its own scalar model byte for byte.
+/// rung must still match its own scalar reference byte for byte.
 #[test]
 fn frequency_only_variants_replay_memo_hits_identically() {
     let profile = &profiles()[1];
@@ -172,14 +190,15 @@ fn frequency_only_variants_replay_memo_hits_identically() {
         m.name = format!("dvfs-{i}");
         m.core.frequency_ghz = freq;
         m.core.vdd = 0.9 + 0.1 * i as f64;
-        let want = IntervalModel::with_config(&m, config.clone()).predict_summary(&prepared);
-        assert_eq!(json(&want), json(&batch.predict_summary(&m)), "freq {freq}");
+        let want = reference_summary(&m, &config, &prepared);
+        assert_eq!(want, json(&batch.predict_summary(&m)), "freq {freq}");
     }
 }
 
 /// The golden acceptance scale: the full 243-point Table 6.3 space
 /// through ONE predictor (maximum memo reuse — the production shape), in
-/// both evaluation modes, every point byte-identical to the scalar path.
+/// both evaluation modes, every point byte-identical to the scalar
+/// reference.
 #[test]
 fn batch_matches_scalar_across_the_full_243_point_space() {
     let profile = &profiles()[0];
@@ -189,10 +208,9 @@ fn batch_matches_scalar_across_the_full_243_point_space() {
         let points = DesignSpace::thesis_table_6_3().enumerate();
         assert_eq!(points.len(), 243);
         for point in points {
-            let want = IntervalModel::with_config(&point.machine, config.clone())
-                .predict_summary(&prepared);
+            let want = reference_summary(&point.machine, &config, &prepared);
             assert_eq!(
-                json(&want),
+                want,
                 json(&batch.predict_summary(&point.machine)),
                 "astar @ {}",
                 point.machine.name
@@ -222,7 +240,7 @@ fn batch_handles_empty_micro_traces() {
 /// `predict_tagged` is the demux primitive cross-request batching rides
 /// on: opaque caller keys go in with their machines, `(key, summary)`
 /// pairs come out in iteration order, and every summary is bit-identical
-/// to a solo `predict_summary` of the same point.
+/// to the scalar reference of the same point.
 #[test]
 fn predict_tagged_keys_ride_with_bit_identical_summaries() {
     let profile = &profiles()[0];
@@ -244,8 +262,8 @@ fn predict_tagged_keys_ride_with_bit_identical_summaries() {
     assert_eq!(tagged.len(), points.len());
     for ((key, summary), (want_key, machine)) in tagged.iter().zip(&points) {
         assert_eq!(key, want_key, "keys must ride back in iteration order");
-        let solo = IntervalModel::with_config(machine, config.clone()).predict_summary(&prepared);
-        assert_eq!(json(summary), json(&solo), "{key}");
+        let solo = reference_summary(machine, &config, &prepared);
+        assert_eq!(json(summary), solo, "{key}");
     }
 }
 

@@ -1,10 +1,14 @@
 //! The tentpole guarantee of the prepared-profile fast path: for every
-//! machine configuration, `predict_prepared`, `predict_summary` and the
-//! batched [`BatchPredictor`] return exactly the bytes `predict` does —
-//! the preparation (and the batching) moves work, never arithmetic.
+//! machine configuration, `predict`, `predict_prepared`,
+//! `predict_summary` and the batched [`BatchPredictor`] return exactly
+//! the bytes of the scalar reference (`pmt_core::reference`: every curve
+//! refitted from the raw profile, queried through
+//! `CacheModel::from_fitted`, no memo) — the preparation (and the
+//! batching) moves work, never arithmetic.
 
-use pmt_core::{BatchPredictor, IntervalModel, ModelConfig, PreparedProfile};
+use pmt_core::{reference, BatchPredictor, IntervalModel, ModelConfig, PreparedProfile};
 use pmt_profiler::{ApplicationProfile, Profiler, ProfilerConfig};
+use pmt_trace::SamplingConfig;
 use pmt_uarch::{CacheConfig, DesignSpace, MachineConfig};
 use pmt_workloads::WorkloadSpec;
 use proptest::prelude::*;
@@ -19,28 +23,57 @@ fn json<T: serde::Serialize>(v: &T) -> String {
     serde_json::to_string(v).expect("serializes")
 }
 
-/// Assert the four prediction paths agree byte for byte on one machine.
-fn assert_identical(model: &IntervalModel, profile: &ApplicationProfile, ctx: &str) {
-    let prepared = PreparedProfile::new(profile);
-    let legacy = model.predict(profile);
-    let fast = model.predict_prepared(&prepared);
+/// Assert every production path agrees byte for byte with the scalar
+/// reference on one machine. `batch` may carry memos warmed by earlier
+/// points.
+fn assert_identical(
+    model: &IntervalModel,
+    prepared: &PreparedProfile<'_>,
+    batch: &mut BatchPredictor<'_, '_>,
+    ctx: &str,
+) {
+    let want = reference::predict(model, prepared);
     assert_eq!(
-        json(&legacy),
-        json(&fast),
+        json(&model.predict(prepared.profile())),
+        json(&want),
+        "predict drifted: {ctx}"
+    );
+    assert_eq!(
+        json(&model.predict_prepared(prepared)),
+        json(&want),
         "predict_prepared drifted: {ctx}"
     );
-    let summary = model.predict_summary(&prepared);
+    let summary = json(&want.summary());
     assert_eq!(
-        json(&legacy.summary()),
-        json(&summary),
+        json(&model.predict_summary(prepared)),
+        summary,
         "predict_summary drifted: {ctx}"
     );
-    let mut batch = BatchPredictor::new(&prepared, model.config());
     assert_eq!(
-        json(&legacy.summary()),
         json(&batch.predict_summary(model.machine())),
+        summary,
         "batched drifted: {ctx}"
     );
+}
+
+/// Every point of `space` through every path, one shared predictor.
+fn assert_space_identical(
+    profile: &ApplicationProfile,
+    config: &ModelConfig,
+    space: &DesignSpace,
+    ctx: &str,
+) {
+    let prepared = PreparedProfile::new(profile);
+    let mut batch = BatchPredictor::new(&prepared, config);
+    for point in space.enumerate() {
+        let model = IntervalModel::with_config(&point.machine, config.clone());
+        assert_identical(
+            &model,
+            &prepared,
+            &mut batch,
+            &format!("{ctx} @ {}", point.machine.name),
+        );
+    }
 }
 
 /// Three workloads × the 27-point validation subspace, bytes compared via
@@ -48,79 +81,81 @@ fn assert_identical(model: &IntervalModel, profile: &ApplicationProfile, ctx: &s
 #[test]
 fn prepared_is_bit_identical_across_validation_subspace() {
     for name in ["astar", "mcf", "gcc"] {
-        let profile = profile_of(name, 30_000);
-        let prepared = PreparedProfile::new(&profile);
-        for point in DesignSpace::validation_subspace().enumerate() {
-            let model = IntervalModel::new(&point.machine);
-            let legacy = model.predict(&profile);
-            assert_eq!(
-                json(&legacy),
-                json(&model.predict_prepared(&prepared)),
-                "{name} @ {}",
-                point.machine.name
-            );
-            assert_eq!(
-                json(&legacy.summary()),
-                json(&model.predict_summary(&prepared)),
-                "{name} summary @ {}",
-                point.machine.name
-            );
-        }
+        assert_space_identical(
+            &profile_of(name, 30_000),
+            &ModelConfig::default(),
+            &DesignSpace::validation_subspace(),
+            name,
+        );
     }
 }
 
 /// The golden acceptance check: the full 243-point Table 6.3 space, one
-/// preparation, every point bit-identical to the legacy path — and one
-/// shared [`BatchPredictor`] (memos warm across all 243 points) matching
-/// the legacy summaries byte for byte.
+/// preparation, every point bit-identical to the scalar reference — and
+/// one shared [`BatchPredictor`] (memos warm across all 243 points)
+/// matching it byte for byte.
 #[test]
 fn prepared_is_bit_identical_across_the_full_243_point_space() {
-    let profile = profile_of("astar", 30_000);
-    let prepared = PreparedProfile::new(&profile);
-    let mut batch = BatchPredictor::new(&prepared, &ModelConfig::default());
-    let points = DesignSpace::thesis_table_6_3().enumerate();
-    assert_eq!(points.len(), 243);
-    for point in points {
-        let model = IntervalModel::new(&point.machine);
-        let legacy = model.predict(&profile);
-        assert_eq!(
-            json(&legacy),
-            json(&model.predict_prepared(&prepared)),
-            "astar @ {}",
-            point.machine.name
-        );
-        assert_eq!(
-            json(&legacy.summary()),
-            json(&batch.predict_summary(&point.machine)),
-            "astar batched @ {}",
-            point.machine.name
-        );
-    }
+    let space = DesignSpace::thesis_table_6_3();
+    assert_eq!(space.len(), 243);
+    assert_space_identical(
+        &profile_of("astar", 30_000),
+        &ModelConfig::default(),
+        &space,
+        "astar",
+    );
 }
 
 /// Combined (ISPASS'15) mode exercises the global-histogram fits and the
 /// combined stream skeleton — a different prepared code path.
 #[test]
 fn prepared_is_bit_identical_in_combined_mode() {
-    let profile = profile_of("mcf", 30_000);
-    for point in DesignSpace::small().enumerate() {
-        let model = IntervalModel::with_config(&point.machine, ModelConfig::ispass_2015());
-        assert_identical(
-            &model,
-            &profile,
-            &format!("combined @ {}", point.machine.name),
-        );
-    }
+    assert_space_identical(
+        &profile_of("mcf", 30_000),
+        &ModelConfig::ispass_2015(),
+        &DesignSpace::small(),
+        "combined",
+    );
 }
 
 /// A profile with no micro-traces must fall back to combined mode
-/// identically on both paths.
+/// identically on every path.
 #[test]
 fn prepared_handles_empty_micro_traces() {
     let mut profile = profile_of("gcc", 20_000);
     profile.micro_traces.clear();
+    let prepared = PreparedProfile::new(&profile);
+    let config = ModelConfig::default();
+    let mut batch = BatchPredictor::new(&prepared, &config);
     let model = IntervalModel::new(&MachineConfig::nehalem());
-    assert_identical(&model, &profile, "no micro-traces");
+    assert_identical(&model, &prepared, &mut batch, "no micro-traces");
+}
+
+/// The shape every served and benchmarked profile has (`pmt profile`:
+/// 300k instructions, 100 windows of 1k-instruction micro-traces) on
+/// the four benchmark workloads, in per-window and combined modes.
+#[test]
+fn prepared_is_bit_identical_at_the_cli_profile_shape() {
+    const INSTRUCTIONS: u64 = 300_000;
+    const WINDOWS: u64 = 100;
+    let mut cfg = ProfilerConfig::thesis_default();
+    cfg.sampling = SamplingConfig {
+        micro_trace_instructions: 1_000,
+        window_instructions: INSTRUCTIONS / WINDOWS,
+    };
+    for name in ["astar", "gcc", "mcf", "lbm"] {
+        let spec = WorkloadSpec::by_name(name).expect("suite member");
+        let profile = Profiler::new(cfg.clone()).profile_named(name, &mut spec.trace(INSTRUCTIONS));
+        assert_eq!(profile.micro_traces.len() as u64, WINDOWS, "{name} windows");
+        for config in [ModelConfig::default(), ModelConfig::ispass_2015()] {
+            assert_space_identical(
+                &profile,
+                &config,
+                &DesignSpace::validation_subspace(),
+                &format!("{name} {:?}", config.evaluation),
+            );
+        }
+    }
 }
 
 fn shared_profile() -> &'static ApplicationProfile {
@@ -131,9 +166,8 @@ fn shared_profile() -> &'static ApplicationProfile {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random machine configurations far outside the thesis grid: the
-    /// prepared path may never depend on the machine resembling the
-    /// design space.
+    /// Random machine configurations far outside the thesis grid: no
+    /// path may depend on the machine resembling the design space.
     #[test]
     fn prepared_matches_legacy_on_random_machines(
         width in 1u32..=8,
@@ -159,21 +193,9 @@ proptest! {
         m.mem.dram_latency = dram;
         m.mem.mshr_entries = mshr;
 
-        let profile = shared_profile();
         let model = IntervalModel::new(&m);
-        let prepared = PreparedProfile::new(profile);
-        prop_assert_eq!(
-            json(&model.predict(profile)),
-            json(&model.predict_prepared(&prepared))
-        );
-        prop_assert_eq!(
-            json(&model.predict(profile).summary()),
-            json(&model.predict_summary(&prepared))
-        );
+        let prepared = PreparedProfile::new(shared_profile());
         let mut batch = BatchPredictor::new(&prepared, model.config());
-        prop_assert_eq!(
-            json(&model.predict(profile).summary()),
-            json(&batch.predict_summary(&m))
-        );
+        assert_identical(&model, &prepared, &mut batch, &m.name);
     }
 }

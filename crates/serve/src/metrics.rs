@@ -1,9 +1,11 @@
-//! Service counters: lock-free atomics, snapshotted into a
+//! Service counters: lock-free atomics (plus one lock for the memo
+//! tallies, taken once per batch flight), snapshotted into a
 //! [`MetricsResponse`] on `GET /metrics`.
 
-use pmt_api::{CorrectorMetrics, MemoMetrics, MetricsResponse, WIRE_SCHEMA_VERSION};
+use pmt_api::{CorrectorMetrics, MetricsResponse, WIRE_SCHEMA_VERSION};
 use pmt_core::MemoStats;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Cumulative counters since daemon start. All counters are relaxed —
 /// they are monotone telemetry, not synchronization; the coalescing and
@@ -40,29 +42,7 @@ pub struct Metrics {
     /// longer cannot grow it).
     pub predict_inflight: AtomicU64,
     /// Cumulative `BatchPredictor` memo tallies across batch flights.
-    pub memo_cache_entries: AtomicU64,
-    /// See [`MemoMetrics`].
-    pub memo_cache_hits: AtomicU64,
-    /// See [`MemoMetrics`].
-    pub memo_cache_misses: AtomicU64,
-    /// See [`MemoMetrics`].
-    pub memo_stride_entries: AtomicU64,
-    /// See [`MemoMetrics`].
-    pub memo_stride_hits: AtomicU64,
-    /// See [`MemoMetrics`].
-    pub memo_stride_misses: AtomicU64,
-    /// See [`MemoMetrics`].
-    pub memo_cp_entries: AtomicU64,
-    /// See [`MemoMetrics`].
-    pub memo_cp_hits: AtomicU64,
-    /// See [`MemoMetrics`].
-    pub memo_cp_misses: AtomicU64,
-    /// See [`MemoMetrics`].
-    pub memo_branch_entries: AtomicU64,
-    /// See [`MemoMetrics`].
-    pub memo_branch_hits: AtomicU64,
-    /// See [`MemoMetrics`].
-    pub memo_branch_misses: AtomicU64,
+    pub memo: Mutex<MemoStats>,
     /// Requests answered from the response cache.
     pub response_cache_hits: AtomicU64,
     /// Cache lookups whose 64-bit key matched but whose stored request
@@ -103,18 +83,9 @@ impl Metrics {
     /// Fold one batch flight's memo snapshot into the cumulative
     /// tallies.
     pub fn absorb_memo_stats(&self, stats: &MemoStats) {
-        Metrics::add(&self.memo_cache_entries, stats.cache_entries);
-        Metrics::add(&self.memo_cache_hits, stats.cache_hits);
-        Metrics::add(&self.memo_cache_misses, stats.cache_misses);
-        Metrics::add(&self.memo_stride_entries, stats.stride_entries);
-        Metrics::add(&self.memo_stride_hits, stats.stride_hits);
-        Metrics::add(&self.memo_stride_misses, stats.stride_misses);
-        Metrics::add(&self.memo_cp_entries, stats.cp_entries);
-        Metrics::add(&self.memo_cp_hits, stats.cp_hits);
-        Metrics::add(&self.memo_cp_misses, stats.cp_misses);
-        Metrics::add(&self.memo_branch_entries, stats.branch_entries);
-        Metrics::add(&self.memo_branch_hits, stats.branch_hits);
-        Metrics::add(&self.memo_branch_misses, stats.branch_misses);
+        // Poison-tolerant: a panicking flight must not wedge `/metrics`.
+        let mut memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
+        memo.add(stats);
     }
 
     /// Snapshot into the wire type. `profiles`, `max_inflight_sweeps`,
@@ -164,20 +135,7 @@ impl Metrics {
             max_inflight_sweeps,
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             worker_threads,
-            memo: MemoMetrics {
-                cache_entries: self.memo_cache_entries.load(Ordering::Relaxed),
-                cache_hits: self.memo_cache_hits.load(Ordering::Relaxed),
-                cache_misses: self.memo_cache_misses.load(Ordering::Relaxed),
-                stride_entries: self.memo_stride_entries.load(Ordering::Relaxed),
-                stride_hits: self.memo_stride_hits.load(Ordering::Relaxed),
-                stride_misses: self.memo_stride_misses.load(Ordering::Relaxed),
-                cp_entries: self.memo_cp_entries.load(Ordering::Relaxed),
-                cp_hits: self.memo_cp_hits.load(Ordering::Relaxed),
-                cp_misses: self.memo_cp_misses.load(Ordering::Relaxed),
-                branch_entries: self.memo_branch_entries.load(Ordering::Relaxed),
-                branch_hits: self.memo_branch_hits.load(Ordering::Relaxed),
-                branch_misses: self.memo_branch_misses.load(Ordering::Relaxed),
-            },
+            memo: *self.memo.lock().unwrap_or_else(|e| e.into_inner()),
             corrector: CorrectorMetrics {
                 loaded: corrector_loaded,
                 corrected_requests: self.corrected_requests.load(Ordering::Relaxed),

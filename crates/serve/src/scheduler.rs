@@ -54,7 +54,7 @@ use crate::metrics::Metrics;
 use crate::registry::RegisteredProfile;
 use crate::server::{cache_insert, predict_json, Shared};
 use pmt_api::ApiError;
-use pmt_core::{BatchPredictor, ModelConfig};
+use pmt_core::{BatchPredictor, MemoStats, ModelConfig};
 use pmt_uarch::MachineConfig;
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -79,8 +79,8 @@ struct BatchEntry {
 
 /// The open-batch state, guarded by [`BatchCell::state`].
 struct BatchState {
-    /// Admitted entries, in admission order. The leader takes them when
-    /// the window closes.
+    /// Admitted entries, in admission order; entry 0 is the leader's.
+    /// The leader takes them when the window closes.
     entries: Vec<BatchEntry>,
     /// No further riders may join (window closed or batch full).
     closed: bool,
@@ -94,15 +94,25 @@ struct BatchCell {
 }
 
 impl BatchCell {
-    fn new() -> BatchCell {
+    /// A batch holding only its leader's entry — built before the batch
+    /// is published, so no rider can land ahead of the leader.
+    fn new(leader: BatchEntry) -> BatchCell {
         BatchCell {
             state: Mutex::new(BatchState {
-                entries: Vec::new(),
+                entries: vec![leader],
                 closed: false,
             }),
             cv: Condvar::new(),
         }
     }
+}
+
+/// Where [`open_or_find`] put a request.
+enum Admission {
+    /// A fresh batch was published with this request as its leader.
+    Opened(Arc<BatchCell>),
+    /// Another batch is open; the request may ride it.
+    Found(Arc<BatchCell>, Box<BatchEntry>),
 }
 
 /// The per-profile open batches (at most one open batch per profile).
@@ -208,25 +218,28 @@ pub(crate) fn submit(
         stream: None,
     });
     loop {
-        let (cell, opened) = {
-            let mut open = shared.batches.open.lock().expect("batch queues lock");
-            match open.get(&profile.content_hash) {
-                Some(cell) => (Arc::clone(cell), false),
-                None => {
-                    let cell = Arc::new(BatchCell::new());
-                    open.insert(profile.content_hash, Arc::clone(&cell));
-                    (cell, true)
-                }
-            }
-        };
-        if opened {
-            return Some(lead(shared, profile, &cell, *entry));
+        match open_or_find(shared, profile.content_hash, entry) {
+            Admission::Opened(cell) => return Some(lead(shared, profile, &cell)),
+            Admission::Found(cell, rider) => match ride(shared, &cell, rider, stream) {
+                Ok(()) => return None,
+                // The batch closed between the map lookup and the join:
+                // try again (a fresh batch, possibly as its leader).
+                Err(bounced) => entry = bounced,
+            },
         }
-        match ride(shared, &cell, entry, stream) {
-            Ok(()) => return None,
-            // The batch closed between the map lookup and the join: try
-            // again (a fresh batch, possibly as its leader).
-            Err(bounced) => entry = bounced,
+    }
+}
+
+/// Find the profile's open batch, or publish a new one that already
+/// holds `entry` as its leader.
+fn open_or_find(shared: &Shared, content_hash: u64, entry: Box<BatchEntry>) -> Admission {
+    let mut open = shared.batches.open.lock().expect("batch queues lock");
+    match open.get(&content_hash) {
+        Some(cell) => Admission::Found(Arc::clone(cell), entry),
+        None => {
+            let cell = Arc::new(BatchCell::new(*entry));
+            open.insert(content_hash, Arc::clone(&cell));
+            Admission::Opened(cell)
         }
     }
 }
@@ -256,16 +269,12 @@ fn ride(
     Ok(())
 }
 
-/// Lead a fresh batch: collect riders for the window, evaluate every
-/// admitted point in one `BatchPredictor` pass, answer everyone.
-fn lead(
-    shared: &Shared,
-    profile: &RegisteredProfile,
-    cell: &Arc<BatchCell>,
-    entry: BatchEntry,
-) -> Response {
-    // Collection window: admit self, then wait for riders until the
-    // window expires or waiting longer cannot grow the batch.
+/// Lead a fresh batch (opened with the leader's entry inside): collect
+/// riders for the window, evaluate every admitted point in one
+/// `BatchPredictor` pass, answer everyone.
+fn lead(shared: &Shared, profile: &RegisteredProfile, cell: &Arc<BatchCell>) -> Response {
+    // Collection window: wait for riders until the window expires or
+    // waiting longer cannot grow the batch.
     let deadline = Instant::now() + Duration::from_millis(shared.config.batch_window_ms);
     // Idle (every in-flight predict aboard, accept queue empty) is a
     // racy read: a caller mid-`connect()` sits in the kernel's listen
@@ -282,7 +291,6 @@ fn lead(
         (Duration::from_millis(shared.config.batch_window_ms) / 10).max(Duration::from_micros(500));
     let entries = {
         let mut state = cell.state.lock().expect("batch state lock");
-        state.entries.push(entry);
         let mut idle_streak = 0u32;
         let mut len_at_check = state.entries.len();
         loop {
@@ -338,7 +346,7 @@ fn lead(
         .min(width)
         .min(guard.entries.len());
     let chunk = guard.entries.len().div_ceil(lanes);
-    let per_lane: Vec<(Vec<Response>, pmt_core::MemoStats)> = std::thread::scope(|scope| {
+    let per_lane: Vec<(Vec<Response>, MemoStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = guard
             .entries
             .chunks(chunk)
@@ -365,10 +373,12 @@ fn lead(
             .collect()
     });
     let mut responses = Vec::with_capacity(guard.entries.len());
+    let mut memo = MemoStats::default();
     for (lane_responses, stats) in per_lane {
         responses.extend(lane_responses);
-        shared.metrics.absorb_memo_stats(&stats);
+        memo.add(&stats);
     }
+    shared.metrics.absorb_memo_stats(&memo);
 
     let n = guard.entries.len() as u64;
     Metrics::add(&shared.metrics.points_predicted, n);
@@ -381,4 +391,77 @@ fn lead(
     Metrics::bump(&shared.metrics.flight_leaders);
 
     guard.deliver(responses)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::Registry;
+    use crate::server::ServeConfig;
+    use pmt_core::IntervalModel;
+    use pmt_profiler::{Profiler, ProfilerConfig};
+    use pmt_workloads::WorkloadSpec;
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    fn entry(key: u64, machine: &MachineConfig) -> Box<BatchEntry> {
+        Box::new(BatchEntry {
+            key,
+            identity: key.to_string(),
+            machine: machine.clone(),
+            stream: None,
+        })
+    }
+
+    /// A rider that lands on a batch the instant it is published — before
+    /// its leader has run a line of `lead` — must not take the leader's
+    /// place: each caller gets the body for its own machine.
+    #[test]
+    fn a_rider_on_a_just_opened_batch_gets_its_own_body() {
+        let registry = Arc::new(Registry::new(1));
+        let spec = WorkloadSpec::by_name("astar").unwrap();
+        let profile = Profiler::new(ProfilerConfig::fast_test())
+            .profile_named("astar", &mut spec.trace(20_000));
+        registry.register(profile).unwrap();
+        let profile = registry.get("astar").unwrap();
+        let config = ServeConfig {
+            batch_window_ms: 5,
+            ..ServeConfig::default()
+        };
+        let shared = Shared::new(config, registry);
+        let body = |machine: &MachineConfig| {
+            let summary = IntervalModel::new(machine).predict_summary(&profile.prepared);
+            predict_json(&shared, &profile, machine, &summary).body
+        };
+        let leader_machine = MachineConfig::nehalem();
+        let mut rider_machine = MachineConfig::nehalem();
+        rider_machine.core.rob_size = 32;
+        assert_ne!(body(&leader_machine), body(&rider_machine));
+
+        let Admission::Opened(cell) =
+            open_or_find(&shared, profile.content_hash, entry(1, &leader_machine))
+        else {
+            panic!("the first request opens the batch");
+        };
+        let Admission::Found(found, rider) =
+            open_or_find(&shared, profile.content_hash, entry(2, &rider_machine))
+        else {
+            panic!("the second request finds the open batch");
+        };
+        assert!(Arc::ptr_eq(&cell, &found));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut stream = Some(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+        let (mut rider_end, _) = listener.accept().unwrap();
+        assert!(ride(&shared, &found, rider, &mut stream).is_ok());
+
+        let leader_response = lead(&shared, &profile, &cell);
+        assert_eq!(leader_response.body, body(&leader_machine));
+        // The batch dropped the rider's connection after writing to it.
+        let mut written = String::new();
+        rider_end.read_to_string(&mut written).unwrap();
+        assert!(
+            written.ends_with(&body(&rider_machine)),
+            "rider got {written}"
+        );
+    }
 }

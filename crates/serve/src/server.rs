@@ -201,6 +201,19 @@ pub(crate) struct Shared {
     cache: Mutex<ResponseCache>,
 }
 
+impl Shared {
+    pub(crate) fn new(config: ServeConfig, registry: Arc<Registry>) -> Shared {
+        Shared {
+            cache: Mutex::new(ResponseCache::new(config.response_cache_entries)),
+            config,
+            registry,
+            metrics: Metrics::new(),
+            flights: Mutex::new(HashMap::new()),
+            batches: BatchQueues::new(),
+        }
+    }
+}
+
 /// A running daemon. Dropping it stops and joins the threads.
 pub struct Server {
     addr: SocketAddr,
@@ -214,14 +227,7 @@ impl Server {
     pub fn start(config: ServeConfig, registry: Arc<Registry>) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            cache: Mutex::new(ResponseCache::new(config.response_cache_entries)),
-            config,
-            registry,
-            metrics: Metrics::new(),
-            flights: Mutex::new(HashMap::new()),
-            batches: BatchQueues::new(),
-        });
+        let shared = Arc::new(Shared::new(config, registry));
         let stop = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Arc::new(Mutex::new(rx));
