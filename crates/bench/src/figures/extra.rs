@@ -116,6 +116,20 @@ struct CollectedRates {
     peak_alloc_bytes: Option<usize>,
 }
 
+/// The reference simulator on the sample of design points the §6.2
+/// speedup extrapolates from, added to schema 4 without changing any
+/// other field. A faster simulator shrinks the §6.2 model-vs-simulation
+/// ratio, so read that ratio next to this rate.
+#[derive(Serialize)]
+struct SimulationRates {
+    /// Design points simulated (each a full run of the workload trace).
+    points: usize,
+    /// Instructions committed over all `points` runs.
+    instructions: u64,
+    /// Committed instructions per wall-clock second, in millions.
+    minstr_per_s: f64,
+}
+
 /// Served predict throughput over real sockets: concurrent distinct
 /// DVFS-style points against two in-process daemons, micro-batching on
 /// vs off. The schema-v4 arm behind CI's serve gate.
@@ -375,6 +389,8 @@ struct BenchModelRecord {
     /// Served predict throughput with cross-request micro-batching on
     /// vs off, over real sockets — new in schema 4.
     serve: ServeRates,
+    /// Reference-simulator throughput on the §6.2 sample.
+    simulation: SimulationRates,
 }
 
 /// Where the perf record lands.
@@ -533,14 +549,18 @@ pub fn speedup(cfg: &HarnessConfig) -> Vec<Figure> {
     // Simulation for a sample of the space, extrapolated.
     let sample = 8.min(points.len());
     let t5 = Instant::now();
-    let mut sim_acc = 0.0;
+    let mut sim_instructions = 0;
     for p in points.iter().take(sample) {
         let r = OooSimulator::new(SimConfig::new(p.machine.clone())).run(&mut spec.trace(n));
-        sim_acc += r.cpi();
+        sim_instructions += r.instructions;
     }
     let t_sim_sample = t5.elapsed();
     let t_sim_full = t_sim_sample * (points.len() as u32) / (sample as u32);
-    let _ = sim_acc;
+    let simulation = SimulationRates {
+        points: sample,
+        instructions: sim_instructions,
+        minstr_per_s: sim_instructions as f64 / t_sim_sample.as_secs_f64().max(1e-12) / 1e6,
+    };
 
     // The serve arm: a full-scale profile registered with two
     // in-process daemons, concurrent distinct predicts over real
@@ -572,6 +592,7 @@ pub fn speedup(cfg: &HarnessConfig) -> Vec<Figure> {
         kernel_simd: pmt_core::kernels::lanes::simd_level().label(),
         collected,
         serve,
+        simulation,
     };
     // A requested record that cannot be written is a hard error: CI's
     // perf gate reads the file this run was supposed to produce, and a

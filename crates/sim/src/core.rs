@@ -1,11 +1,19 @@
 //! The out-of-order core: fetch, dispatch, issue, execute, commit.
+//!
+//! The engine steps cycle by cycle while anything moves. A cycle in
+//! which nothing commits, issues, dispatches or fetches, and nothing is
+//! looked up in the I-cache, is followed by a jump to the next cycle at
+//! which anything can change ([`Engine::next_event`]); the skipped cycles
+//! are charged exactly what stepping through them would have charged, so
+//! the [`SimResult`] is bit-identical to a step-every-cycle run.
 
 use crate::config::SimConfig;
 use crate::memory::{ServedBy, TimedMemory};
 use crate::result::{CpiComponent, CpiStack, IntervalSample, SimResult};
 use pmt_branch::PredictorSim;
 use pmt_trace::{MicroOp, TraceSource, UopClass};
-use pmt_uarch::ActivityVector;
+use pmt_uarch::{ActivityVector, OpResources};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 const DONE_RING_BITS: u32 = 16;
@@ -13,6 +21,8 @@ const DONE_RING: usize = 1 << DONE_RING_BITS;
 const DONE_MASK: u64 = (DONE_RING - 1) as u64;
 const NO_SRC: u64 = u64::MAX;
 const NOT_DONE: u64 = u64::MAX;
+/// A run still going at this cycle is wedged.
+const SAFETY_CAP: u64 = 1_000_000_000;
 
 #[derive(Clone, Copy, Debug)]
 struct FetchedUop {
@@ -43,7 +53,23 @@ struct IqEntry {
     addr: u64,
     pc: u64,
     retry_at: u64,
+    /// Cycle both operands are ready, cached once both producers have
+    /// issued (their done cycles never change after that); `NOT_DONE`
+    /// until then.
+    operands_ready: u64,
     mispredicted: bool,
+}
+
+/// The issue constraints of one μop class, resolved once per run.
+#[derive(Clone, Copy)]
+struct IssueClass<'a> {
+    /// Candidate ports in preference order (a mask would lose the order).
+    any_of: &'a [u8],
+    /// Bitmask of the candidate ports.
+    any_mask: u32,
+    /// Bitmask of the ports occupied besides the chosen one.
+    also_mask: u32,
+    res: OpResources,
 }
 
 /// The cycle-level out-of-order simulator.
@@ -71,6 +97,14 @@ impl OooSimulator {
 struct Engine<'a> {
     cfg: &'a SimConfig,
     now: u64,
+    // Machine parameters.
+    width: usize,
+    rob_size: usize,
+    iq_size: usize,
+    lsq_size: u32,
+    fe_depth: u64,
+    port_count: usize,
+    classes: [IssueClass<'a>; UopClass::COUNT],
     // Structures.
     rob: VecDeque<RobEntry>,
     rob_front_seq: u64,
@@ -100,7 +134,7 @@ struct Engine<'a> {
     branch_misses: u64,
     // MLP tracking.
     dram_outstanding: u32,
-    dram_done_heap: BinaryHeap<std::cmp::Reverse<u64>>,
+    dram_done_heap: BinaryHeap<Reverse<u64>>,
     mlp_sum: f64,
     mlp_cycles: u64,
     // Intervals.
@@ -113,18 +147,43 @@ struct Engine<'a> {
 impl<'a> Engine<'a> {
     fn new(cfg: &'a SimConfig) -> Engine<'a> {
         let machine = &cfg.machine;
-        let mut fu_busy = Vec::with_capacity(UopClass::COUNT);
-        for class in UopClass::ALL {
-            let r = machine.exec.resources(class);
-            if r.pipelined {
-                fu_busy.push(Vec::new());
-            } else {
-                fu_busy.push(vec![0u64; r.units as usize]);
+        let ports = &machine.exec.ports;
+        assert!(
+            ports.port_count() <= 32,
+            "the simulator tracks at most 32 issue ports, got {}",
+            ports.port_count()
+        );
+        let mask = |ports: &[u8]| ports.iter().fold(0u32, |m, &p| m | 1 << p);
+        let classes: [IssueClass; UopClass::COUNT] = std::array::from_fn(|i| {
+            let class = UopClass::from_index(i);
+            let route = ports.route(class);
+            IssueClass {
+                any_of: &route.any_of,
+                any_mask: mask(&route.any_of),
+                also_mask: mask(&route.also_all_of),
+                res: machine.exec.resources(class),
             }
-        }
+        });
+        let fu_busy = classes
+            .iter()
+            .map(|c| {
+                if c.res.pipelined {
+                    Vec::new()
+                } else {
+                    vec![0u64; c.res.units as usize]
+                }
+            })
+            .collect();
         Engine {
             cfg,
             now: 0,
+            width: machine.core.dispatch_width as usize,
+            rob_size: machine.core.rob_size as usize,
+            iq_size: machine.core.iq_size as usize,
+            lsq_size: machine.core.lsq_size,
+            fe_depth: machine.core.frontend_depth as u64,
+            port_count: ports.port_count() as usize,
+            classes,
             rob: VecDeque::with_capacity(machine.core.rob_size as usize),
             rob_front_seq: 0,
             iq: Vec::with_capacity(machine.core.iq_size as usize),
@@ -176,6 +235,22 @@ impl<'a> Engine<'a> {
         self.done_at[(seq & DONE_MASK) as usize] = cycle;
     }
 
+    /// The ROB head's done cycle (`NOT_DONE` while it has not issued).
+    #[inline]
+    fn head_done(&self) -> u64 {
+        self.done_at[(self.rob_front_seq & DONE_MASK) as usize]
+    }
+
+    /// The cycle both operands of `e` are ready (`NOT_DONE` while a
+    /// producer has not issued).
+    #[inline]
+    fn operands_ready(&self, e: &IqEntry) -> u64 {
+        if e.operands_ready != NOT_DONE {
+            return e.operands_ready;
+        }
+        self.seq_done_at(e.src1).max(self.seq_done_at(e.src2))
+    }
+
     fn refill_trace<S: TraceSource>(&mut self, source: &mut S) {
         if self.trace_done || self.trace_pos < self.trace_buf.len() {
             return;
@@ -187,60 +262,151 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run<S: TraceSource>(mut self, source: &mut S) -> SimResult {
-        let d = self.cfg.machine.core.dispatch_width as usize;
-        let rob_size = self.cfg.machine.core.rob_size as usize;
-        let iq_size = self.cfg.machine.core.iq_size as usize;
-        let lsq_size = self.cfg.machine.core.lsq_size;
-        self.refill_trace(source);
-
-        let safety_cap = 1_000_000_000u64;
-        while !(self.trace_done
+    fn drained(&self) -> bool {
+        self.trace_done
             && self.trace_pos >= self.trace_buf.len()
             && self.fetch_q.is_empty()
-            && self.rob.is_empty())
-        {
-            assert!(self.now < safety_cap, "simulator wedged");
-            // MLP bookkeeping.
-            while let Some(&std::cmp::Reverse(t)) = self.dram_done_heap.peek() {
-                if t <= self.now {
-                    self.dram_done_heap.pop();
-                    self.dram_outstanding -= 1;
-                } else {
-                    break;
-                }
-            }
-            if self.dram_outstanding > 0 {
-                self.mlp_sum += self.dram_outstanding as f64;
-                self.mlp_cycles += 1;
-            }
-            if self.mispredict_pending && self.branch_refill_until != u64::MAX {
-                // Recovery time reached: resume fetch.
-                if self.now >= self.branch_refill_until {
-                    self.mispredict_pending = false;
-                }
-            }
+            && self.rob.is_empty()
+    }
 
-            self.commit(d);
-            self.issue();
-            self.dispatch(d, rob_size, iq_size, lsq_size);
-            self.fetch(source, d);
-
+    fn run<S: TraceSource>(mut self, source: &mut S) -> SimResult {
+        self.refill_trace(source);
+        let mut moved = true;
+        while !self.drained() {
+            if !moved {
+                self.fast_forward();
+            }
+            moved = self.cycle(source);
             self.now += 1;
         }
-
         self.finish()
     }
 
-    /// In-order commit of up to `d` done μops.
-    fn commit(&mut self, d: usize) {
+    /// The step-every-cycle run that [`run`](Self::run) must match bit
+    /// for bit.
+    #[cfg(test)]
+    fn run_stepping<S: TraceSource>(mut self, source: &mut S) -> SimResult {
+        self.refill_trace(source);
+        while !self.drained() {
+            self.cycle(source);
+            self.now += 1;
+        }
+        self.finish()
+    }
+
+    /// Simulate cycle `now`; returns whether anything committed, issued,
+    /// dispatched, fetched or looked up the I-cache.
+    fn cycle<S: TraceSource>(&mut self, source: &mut S) -> bool {
+        assert!(self.now < SAFETY_CAP, "simulator wedged");
+        // MLP bookkeeping.
+        while let Some(&Reverse(t)) = self.dram_done_heap.peek() {
+            if t <= self.now {
+                self.dram_done_heap.pop();
+                self.dram_outstanding -= 1;
+            } else {
+                break;
+            }
+        }
+        if self.dram_outstanding > 0 {
+            self.mlp_sum += self.dram_outstanding as f64;
+            self.mlp_cycles += 1;
+        }
+        if self.mispredict_pending
+            && self.branch_refill_until != u64::MAX
+            && self.now >= self.branch_refill_until
+        {
+            // Recovery time reached: resume fetch.
+            self.mispredict_pending = false;
+        }
+
+        let committed = self.commit();
+        let issued = self.issue();
+        let dispatched = self.dispatch();
+        let fetched = self.fetch(source);
+        committed || issued || dispatched || fetched
+    }
+
+    /// The earliest cycle at or after `now` at which a stalled engine can
+    /// move again. After a cycle in which nothing moved, only these can
+    /// change what a cycle does:
+    ///
+    /// * the ROB head's done cycle (commit, and the head blocker),
+    /// * each IQ entry's `max(retry_at, operands ready)`,
+    /// * the non-pipelined units' free cycles,
+    /// * the fetch-queue head's `ready_at` (dispatch),
+    /// * `fetch_stall_until` and `branch_refill_until` (fetch),
+    /// * `branch_refill_until + frontend_depth` and
+    ///   `icache_refill_until + frontend_depth` (the front-end blocker),
+    /// * the earliest outstanding DRAM completion (MLP).
+    ///
+    /// Returns `u64::MAX` when none lies ahead.
+    fn next_event(&self) -> u64 {
+        let now = self.now;
+        let mut next = u64::MAX;
+        let mut at = |t: u64| {
+            if t >= now && t < next {
+                next = t;
+            }
+        };
+        if !self.rob.is_empty() {
+            at(self.head_done());
+        }
+        for e in &self.iq {
+            at(e.retry_at.max(self.operands_ready(e)));
+        }
+        for &busy in self.fu_busy.iter().flatten() {
+            at(busy);
+        }
+        if let Some(f) = self.fetch_q.front() {
+            at(f.ready_at);
+        }
+        at(self.fetch_stall_until);
+        at(self.branch_refill_until);
+        at(self.branch_refill_until.saturating_add(self.fe_depth));
+        at(self.icache_refill_until.saturating_add(self.fe_depth));
+        if let Some(&Reverse(t)) = self.dram_done_heap.peek() {
+            at(t);
+        }
+        next
+    }
+
+    /// Called when the last cycle moved nothing and the run is not
+    /// drained: jump `now` to the next event, charging every skipped
+    /// cycle what stepping would have. Each wastes all dispatch slots on
+    /// the same blocker and adds the same outstanding-DRAM count to the
+    /// MLP sums.
+    fn fast_forward(&mut self) {
+        // Clamped so that a wedged run still stops at the safety cap.
+        let next = self.next_event().min(SAFETY_CAP);
+        if next <= self.now {
+            return;
+        }
+        let skipped = next - self.now;
+        let blocker = self
+            .dispatch_blocker()
+            .expect("dispatch stays blocked until the next event");
+        self.slots[blocker as usize] += skipped * self.width as u64;
+        if self.dram_outstanding > 0 {
+            // `mlp_sum` only ever gains integers: one outstanding count
+            // (at most the MSHR file size) per cycle below `SAFETY_CAP`
+            // (< 2^30). For any MSHR file under 2^23 entries it stays
+            // below 2^53, where every add is exact, so one multiply
+            // equals `skipped` adds.
+            self.mlp_sum += self.dram_outstanding as f64 * skipped as f64;
+            self.mlp_cycles += skipped;
+        }
+        self.now = next;
+    }
+
+    /// In-order commit of up to `width` done μops; returns whether any
+    /// committed.
+    fn commit(&mut self) -> bool {
         let mut n = 0;
-        while n < d {
+        while n < self.width {
             let Some(head) = self.rob.front() else { break };
             let head = *head;
-            if self.done_at[(self.rob_front_seq & DONE_MASK) as usize] == NOT_DONE
-                || self.done_at[(self.rob_front_seq & DONE_MASK) as usize] > self.now
-            {
+            let head_done = self.head_done();
+            if head_done == NOT_DONE || head_done > self.now {
                 break;
             }
             self.rob.pop_front();
@@ -273,153 +439,123 @@ impl<'a> Engine<'a> {
             }
             n += 1;
         }
+        n > 0
     }
 
-    /// Issue ready μops to the ports (oldest first).
-    fn issue(&mut self) {
-        let ports = self.cfg.machine.exec.ports.port_count() as usize;
-        let mut port_used = vec![false; ports];
+    /// Issue ready μops to the ports, oldest first; returns whether any
+    /// issued. Issued entries leave the IQ, which is compacted in place.
+    fn issue(&mut self) -> bool {
+        let mut ports_used = 0u32;
         let mut issued = 0usize;
-        let mut issued_flags: Vec<bool> = vec![false; self.iq.len()];
-        let mut i = 0;
-        while i < self.iq.len() && issued < ports {
-            let e = self.iq[i];
-            if e.retry_at > self.now {
-                i += 1;
-                continue;
+        let mut kept = 0usize;
+        for i in 0..self.iq.len() {
+            let mut e = self.iq[i];
+            if issued < self.port_count && self.try_issue(&mut e, &mut ports_used) {
+                issued += 1;
+            } else {
+                self.iq[kept] = e;
+                kept += 1;
             }
-            // Operand readiness.
-            let r1 = self.seq_done_at(e.src1);
-            let r2 = self.seq_done_at(e.src2);
-            if r1 > self.now || r2 > self.now {
-                i += 1;
-                continue;
-            }
-            // Port availability.
-            let route = self.cfg.machine.exec.ports.route(e.class).clone();
-            let chosen = route
-                .any_of
-                .iter()
-                .copied()
-                .find(|&p| !port_used[p as usize]);
-            let Some(primary) = chosen else {
-                i += 1;
-                continue;
-            };
-            if route.also_all_of.iter().any(|&p| port_used[p as usize]) {
-                i += 1;
-                continue;
-            }
-            // Functional unit availability (non-pipelined units).
-            let res = self.cfg.machine.exec.resources(e.class);
-            let mut fu_slot = None;
-            if !res.pipelined {
-                let units = &self.fu_busy[e.class.index()];
-                match units.iter().position(|&b| b <= self.now) {
-                    Some(u) => fu_slot = Some(u),
-                    None => {
-                        i += 1;
-                        continue;
-                    }
-                }
-            }
-
-            // Compute the completion time.
-            let done = match e.class {
-                UopClass::Load => {
-                    if self.cfg.perfect {
-                        self.now + self.cfg.machine.caches.l1d.latency as u64
-                    } else {
-                        match self.memory.load(e.addr, e.pc, self.now) {
-                            Ok(r) => {
-                                let idx = (e.seq - self.rob_front_seq) as usize;
-                                self.rob[idx].mem = Some(r.served_by);
-                                if r.new_dram {
-                                    self.dram_outstanding += 1;
-                                    self.dram_done_heap.push(std::cmp::Reverse(r.done));
-                                }
-                                r.done
-                            }
-                            Err(retry_at) => {
-                                self.iq[i].retry_at = retry_at.max(self.now + 1);
-                                i += 1;
-                                continue;
-                            }
-                        }
-                    }
-                }
-                UopClass::Store => {
-                    if !self.cfg.perfect {
-                        self.memory.store(e.addr, e.pc, self.now);
-                    }
-                    self.now + res.latency as u64
-                }
-                _ => self.now + res.latency as u64,
-            };
-
-            // Commit the issue.
-            port_used[primary as usize] = true;
-            for &p in &route.also_all_of {
-                port_used[p as usize] = true;
-            }
-            if let Some(u) = fu_slot {
-                self.fu_busy[e.class.index()][u] = done;
-            }
-            self.mark_done(e.seq, done);
-            if e.mispredicted {
-                // Fetch resumes once the branch resolves.
-                self.branch_refill_until = done;
-            }
-            self.activity.issue_per_class[e.class.index()] += 1.0;
-            self.activity.iq_accesses += 1.0;
-            let nsrc = (e.src1 != NO_SRC) as u32 + (e.src2 != NO_SRC) as u32;
-            self.activity.regfile_reads += nsrc as f64;
-            if e.class.produces_value() {
-                self.activity.regfile_writes += 1.0;
-            }
-            issued_flags[i] = true;
-            issued += 1;
-            i += 1;
         }
-        if issued > 0 {
-            let mut k = 0;
-            self.iq.retain(|_| {
-                let keep = !issued_flags[k];
-                k += 1;
-                keep
-            });
-        }
+        self.iq.truncate(kept);
+        issued > 0
     }
 
-    /// Dispatch up to `d` μops from the front-end into ROB/IQ/LSQ, with
-    /// slot-based stall attribution.
-    fn dispatch(&mut self, d: usize, rob_size: usize, iq_size: usize, lsq_size: u32) {
+    /// Issue one IQ entry if its operands, a port and a functional unit
+    /// are available. `e` may gain a cached operand-ready cycle or a
+    /// retry cycle either way.
+    fn try_issue(&mut self, e: &mut IqEntry, ports_used: &mut u32) -> bool {
+        let now = self.now;
+        if e.retry_at > now {
+            return false;
+        }
+        // Operand readiness.
+        e.operands_ready = self.operands_ready(e);
+        if e.operands_ready > now {
+            return false;
+        }
+        // Port availability.
+        let class = self.classes[e.class.index()];
+        let free = !*ports_used;
+        if class.any_mask & free == 0 || class.also_mask & free != class.also_mask {
+            return false;
+        }
+        let primary = class
+            .any_of
+            .iter()
+            .copied()
+            .find(|&p| free & 1 << p != 0)
+            .expect("the mask has a free candidate");
+        // Functional unit availability (non-pipelined units).
+        let mut fu_slot = None;
+        if !class.res.pipelined {
+            let units = &self.fu_busy[e.class.index()];
+            match units.iter().position(|&b| b <= now) {
+                Some(u) => fu_slot = Some(u),
+                None => return false,
+            }
+        }
+
+        // Compute the completion time.
+        let done = match e.class {
+            UopClass::Load if self.cfg.perfect => now + self.cfg.machine.caches.l1d.latency as u64,
+            UopClass::Load => match self.memory.load(e.addr, e.pc, now) {
+                Ok(r) => {
+                    let idx = (e.seq - self.rob_front_seq) as usize;
+                    self.rob[idx].mem = Some(r.served_by);
+                    if r.new_dram {
+                        self.dram_outstanding += 1;
+                        self.dram_done_heap.push(Reverse(r.done));
+                    }
+                    r.done
+                }
+                Err(retry_at) => {
+                    e.retry_at = retry_at.max(now + 1);
+                    return false;
+                }
+            },
+            UopClass::Store => {
+                if !self.cfg.perfect {
+                    self.memory.store(e.addr, e.pc, now);
+                }
+                now + class.res.latency as u64
+            }
+            _ => now + class.res.latency as u64,
+        };
+
+        // Commit the issue.
+        *ports_used |= 1 << primary | class.also_mask;
+        if let Some(u) = fu_slot {
+            self.fu_busy[e.class.index()][u] = done;
+        }
+        self.mark_done(e.seq, done);
+        if e.mispredicted {
+            // Fetch resumes once the branch resolves.
+            self.branch_refill_until = done;
+        }
+        self.activity.issue_per_class[e.class.index()] += 1.0;
+        self.activity.iq_accesses += 1.0;
+        let nsrc = (e.src1 != NO_SRC) as u32 + (e.src2 != NO_SRC) as u32;
+        self.activity.regfile_reads += nsrc as f64;
+        if e.class.produces_value() {
+            self.activity.regfile_writes += 1.0;
+        }
+        true
+    }
+
+    /// Dispatch up to `width` μops from the front-end into ROB/IQ/LSQ,
+    /// with slot-based stall attribution; returns whether any dispatched.
+    fn dispatch(&mut self) -> bool {
         let mut dispatched = 0usize;
-        let mut blocker: Option<CpiComponent> = None;
-        while dispatched < d {
-            if self.rob.len() >= rob_size {
-                blocker = Some(self.head_blocker());
+        let mut blocker = CpiComponent::Base;
+        while dispatched < self.width {
+            if let Some(b) = self.dispatch_blocker() {
+                blocker = b;
                 break;
             }
-            if self.iq.len() >= iq_size {
-                blocker = Some(self.backend_pressure_blocker());
-                break;
-            }
-            let Some(f) = self.fetch_q.front() else {
-                blocker = Some(self.frontend_blocker());
-                break;
-            };
-            if f.ready_at > self.now {
-                blocker = Some(self.frontend_blocker());
-                break;
-            }
-            let is_mem = f.class.is_memory();
-            if is_mem && self.lsq_used >= lsq_size {
-                blocker = Some(self.backend_pressure_blocker());
-                break;
-            }
-            let f = self.fetch_q.pop_front().expect("peeked");
+            let f = self.fetch_q.pop_front().expect("a dispatchable head");
             debug_assert_eq!(f.seq, self.rob_front_seq + self.rob.len() as u64);
+            let is_mem = f.class.is_memory();
             self.rob.push_back(RobEntry {
                 begins_instruction: f.begins_instruction,
                 is_mem,
@@ -437,6 +573,7 @@ impl<'a> Engine<'a> {
                 addr: f.addr,
                 pc: f.pc,
                 retry_at: 0,
+                operands_ready: NOT_DONE,
                 mispredicted: f.mispredicted,
             });
             self.activity.rob_accesses += 1.0;
@@ -444,10 +581,25 @@ impl<'a> Engine<'a> {
             dispatched += 1;
         }
         self.slots[CpiComponent::Base as usize] += dispatched as u64;
-        let wasted = (d - dispatched) as u64;
-        if wasted > 0 {
-            let c = blocker.unwrap_or(CpiComponent::Base);
-            self.slots[c as usize] += wasted;
+        self.slots[blocker as usize] += (self.width - dispatched) as u64;
+        dispatched > 0
+    }
+
+    /// What keeps the next μop from dispatching this cycle, if anything.
+    fn dispatch_blocker(&self) -> Option<CpiComponent> {
+        if self.rob.len() >= self.rob_size {
+            return Some(self.head_blocker());
+        }
+        if self.iq.len() >= self.iq_size {
+            return Some(self.backend_pressure_blocker());
+        }
+        match self.fetch_q.front() {
+            None => Some(self.frontend_blocker()),
+            Some(f) if f.ready_at > self.now => Some(self.frontend_blocker()),
+            Some(f) if f.class.is_memory() && self.lsq_used >= self.lsq_size => {
+                Some(self.backend_pressure_blocker())
+            }
+            Some(_) => None,
         }
     }
 
@@ -463,8 +615,7 @@ impl<'a> Engine<'a> {
 
     /// Attribution when the ROB is full: blame the oldest unfinished μop.
     fn head_blocker(&self) -> CpiComponent {
-        let head_done = self.done_at[(self.rob_front_seq & DONE_MASK) as usize];
-        if head_done <= self.now {
+        if self.head_done() <= self.now {
             return CpiComponent::Base; // head commits this cycle path
         }
         match self.rob.front().and_then(|h| h.mem) {
@@ -482,19 +633,13 @@ impl<'a> Engine<'a> {
     /// Attribution when the front-end delivers nothing.
     fn frontend_blocker(&self) -> CpiComponent {
         if self.mispredict_pending
-            || self.now < self.branch_refill_until.saturating_add(0)
+            || self.now < self.branch_refill_until
             || (self.branch_refill_until != 0
-                && self.now
-                    < self
-                        .branch_refill_until
-                        .saturating_add(self.cfg.machine.core.frontend_depth as u64))
+                && self.now < self.branch_refill_until.saturating_add(self.fe_depth))
         {
             return CpiComponent::Branch;
         }
-        if self.now
-            < self
-                .icache_refill_until
-                .saturating_add(self.cfg.machine.core.frontend_depth as u64)
+        if self.now < self.icache_refill_until.saturating_add(self.fe_depth)
             && self.icache_refill_until != 0
         {
             return CpiComponent::ICache;
@@ -502,20 +647,21 @@ impl<'a> Engine<'a> {
         CpiComponent::Base
     }
 
-    /// Fetch up to `d` μops into the front-end pipe.
-    fn fetch<S: TraceSource>(&mut self, source: &mut S, d: usize) {
+    /// Fetch up to `width` μops into the front-end pipe; returns whether
+    /// anything was fetched or looked up in the I-cache.
+    fn fetch<S: TraceSource>(&mut self, source: &mut S) -> bool {
         if self.mispredict_pending {
-            return;
+            return false;
         }
         if self.now < self.fetch_stall_until {
-            return;
+            return false;
         }
-        if self.fetch_q.len() >= 4 * d * self.cfg.machine.core.frontend_depth as usize {
-            return;
+        if self.fetch_q.len() >= 4 * self.width * self.fe_depth as usize {
+            return false;
         }
-        let fe_depth = self.cfg.machine.core.frontend_depth as u64;
         let mut fetched = 0usize;
-        while fetched < d {
+        let mut icache_lookup = false;
+        while fetched < self.width {
             self.refill_trace(source);
             if self.trace_pos >= self.trace_buf.len() {
                 break;
@@ -525,6 +671,7 @@ impl<'a> Engine<'a> {
             if !self.cfg.perfect && u.begins_instruction {
                 let line = u.pc >> 6;
                 if line != self.last_fetch_line {
+                    icache_lookup = true;
                     self.activity.l1i_accesses += 1.0;
                     let ready = self.memory.fetch_inst(u.pc, self.now);
                     self.last_fetch_line = line;
@@ -565,7 +712,7 @@ impl<'a> Engine<'a> {
                 addr: u.addr,
                 pc: u.pc,
                 mispredicted,
-                ready_at: self.now + fe_depth,
+                ready_at: self.now + self.fe_depth,
             });
             fetched += 1;
             if mispredicted {
@@ -575,6 +722,7 @@ impl<'a> Engine<'a> {
                 break;
             }
         }
+        fetched > 0 || icache_lookup
     }
 
     fn finish(mut self) -> SimResult {
@@ -635,8 +783,156 @@ impl<'a> Engine<'a> {
 mod tests {
     use super::*;
     use pmt_trace::VecTrace;
-    use pmt_uarch::MachineConfig;
+    use pmt_uarch::{ExecConfig, MachineConfig};
     use pmt_workloads::WorkloadSpec;
+    use proptest::prelude::*;
+
+    /// SplitMix64: a tiny seeded generator for the oracle's traces.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn dep(&mut self) -> u32 {
+            if self.below(3) == 0 {
+                0
+            } else {
+                self.below(16) as u32 + 1
+            }
+        }
+    }
+
+    /// A random μop stream that reaches every event the fast-forward
+    /// jumps to: non-pipelined divides, bursts of independent loads to
+    /// distinct lines that exhaust the MSHRs, stores that miss to DRAM,
+    /// coin-flip branches that mispredict, and PC jumps that miss the
+    /// I-cache.
+    fn random_trace(seed: u64, instructions: usize) -> Vec<MicroOp> {
+        let mut rng = SplitMix(seed);
+        let far_line = |rng: &mut SplitMix| 0x1_0000_0000 + rng.below(1 << 24) * 64;
+        let mut uops = Vec::with_capacity(instructions * 2);
+        let mut pc = 0x40_0000u64;
+        let mut miss_burst = 0;
+        for _ in 0..instructions {
+            if miss_burst > 0 {
+                miss_burst -= 1;
+                uops.push(MicroOp::load(pc, 0, far_line(&mut rng)));
+                pc += 4;
+                continue;
+            }
+            let u = match rng.below(100) {
+                0..=3 => {
+                    miss_burst = 4 + rng.below(16);
+                    MicroOp::load(pc, 0, far_line(&mut rng))
+                }
+                4..=9 => {
+                    let class = if rng.below(2) == 0 {
+                        UopClass::IntDiv
+                    } else {
+                        UopClass::FpDiv
+                    };
+                    MicroOp::compute(class, pc, 0).with_dep1(rng.dep())
+                }
+                10..=24 => {
+                    let addr = if rng.below(2) == 0 {
+                        0x1000 + rng.below(64) * 64
+                    } else {
+                        0x80_0000 + rng.below(1 << 16) * 64
+                    };
+                    MicroOp::load(pc, 0, addr).with_dep1(rng.dep())
+                }
+                25..=32 => {
+                    let addr = if rng.below(4) == 0 {
+                        far_line(&mut rng)
+                    } else {
+                        0x1000 + rng.below(64) * 64
+                    };
+                    MicroOp::store(pc, 0, addr)
+                        .with_dep1(rng.dep())
+                        .with_dep2(rng.dep())
+                }
+                33..=47 => MicroOp::branch(pc, 0, rng.below(2) == 0).with_dep1(rng.dep()),
+                48..=51 => {
+                    // Jump far: the next fetch line is cold in the I-cache.
+                    pc = 0x40_0000 + rng.below(1 << 22) * 64;
+                    MicroOp::compute(UopClass::IntAlu, pc, 0)
+                }
+                r => {
+                    let class =
+                        [UopClass::IntAlu, UopClass::IntMul, UopClass::FpMul][r as usize % 3];
+                    MicroOp::compute(class, pc, 0)
+                        .with_dep1(rng.dep())
+                        .with_dep2(rng.dep())
+                }
+            };
+            uops.push(u);
+            if rng.below(4) == 0 {
+                // A second μop of the same instruction, fed by the first.
+                uops.push(MicroOp::compute(UopClass::IntAlu, pc, 1).with_dep1(1));
+            }
+            pc += 4;
+        }
+        uops
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Fast-forwarding over idle cycles must reproduce the
+        /// step-every-cycle run exactly, down to every float bit.
+        #[test]
+        fn fast_forward_matches_stepping_bit_for_bit(
+            seed in any::<u64>(),
+            width in 1u32..=8,
+            rob in 16u32..=256,
+            mshrs in 1u32..=12,
+            frontend_depth in 1u32..=8,
+            branch_latency in 1u32..=4,
+            prefetch in any::<bool>(),
+            intervals in any::<bool>(),
+        ) {
+            let mut machine = if prefetch {
+                MachineConfig::nehalem_with_prefetcher()
+            } else {
+                MachineConfig::nehalem()
+            };
+            machine.core = machine.core.with_dispatch_width(width).with_rob(rob);
+            machine.core.frontend_depth = frontend_depth;
+            machine.mem.mshr_entries = mshrs;
+            // A branch slower than one cycle resolves inside a stall, so
+            // `branch_refill_until` becomes an event of its own.
+            let mut resources: Vec<_> = UopClass::ALL
+                .iter()
+                .map(|&c| (c, machine.exec.resources(c)))
+                .collect();
+            resources[UopClass::Branch.index()].1.latency = branch_latency;
+            machine.exec = ExecConfig::new(resources, machine.exec.ports.clone());
+            let mut cfg = SimConfig::new(machine);
+            if intervals {
+                cfg = cfg.with_intervals(250);
+            }
+            if seed.is_multiple_of(8) {
+                cfg = cfg.perfect();
+            }
+            let uops = random_trace(seed, 3_000);
+            let fast = Engine::new(&cfg).run(&mut VecTrace::new(uops.clone()));
+            let stepped = Engine::new(&cfg).run_stepping(&mut VecTrace::new(uops));
+            prop_assert_eq!(
+                serde_json::to_string(&fast).unwrap(),
+                serde_json::to_string(&stepped).unwrap()
+            );
+        }
+    }
 
     fn run_machine(machine: MachineConfig, workload: &str, n: u64) -> SimResult {
         let spec = WorkloadSpec::by_name(workload).unwrap();

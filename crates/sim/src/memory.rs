@@ -182,6 +182,15 @@ impl TimedMemory {
                 let done = self.claim_bus(data_at.saturating_sub(self.bus_transfer));
                 let ready = self.mshr.allocate(line, done, now).expect("checked free");
                 self.dram_accesses += 1;
+                if self.prefetcher.is_none() {
+                    // Nothing else collects finished fills here. Without a
+                    // prefetcher only the lookup above reads `inflight`, and
+                    // it treats a fill with `ready <= now` as absent; loads
+                    // issue in cycle order, so dropping those is invisible.
+                    // (`issue_prefetch` also reads stale entries, so with a
+                    // prefetcher its own collection stays in charge.)
+                    self.inflight.retain(|_, &mut r| r > now);
+                }
                 self.inflight.insert(line, ready);
                 Ok(LoadResult {
                     done: ready,
@@ -331,6 +340,26 @@ mod tests {
         assert!(
             slow < 600,
             "most loads should be (partially) hidden: {slow}"
+        );
+    }
+
+    #[test]
+    fn in_flight_fills_stay_bounded_without_a_prefetcher() {
+        let mut m = mem();
+        let mut now = 0u64;
+        for i in 0..5_000u64 {
+            match m.load(0x1000_0000 + i * 4096, 0x4, now) {
+                Ok(_) => now += 50,
+                Err(retry) => now = retry,
+            }
+        }
+        assert_eq!(m.dram_accesses, 5_000);
+        // Only fills still in flight remain, and the MSHR file caps those.
+        assert!(
+            m.inflight.len() <= m.mshr.capacity(),
+            "{} entries for {} MSHRs",
+            m.inflight.len(),
+            m.mshr.capacity()
         );
     }
 
