@@ -46,8 +46,9 @@ impl MachineSpec {
         }
     }
 
-    /// Materialize the machine, rejecting ambiguous or unknown specs with
-    /// a structured error.
+    /// Materialize the machine, rejecting ambiguous or unknown specs, and
+    /// inline machines that fail [`MachineConfig::check`], with a
+    /// structured error (400 `bad_machine` names the offending field).
     pub fn resolve(&self) -> Result<MachineConfig, ApiError> {
         match (&self.name, &self.config) {
             (Some(_), Some(_)) => Err(ApiError::bad_request(
@@ -67,14 +68,25 @@ impl MachineSpec {
                     ),
                 )
             }),
-            (None, Some(config)) => Ok(config.clone()),
+            (None, Some(config)) => {
+                config.check().map_err(bad_machine)?;
+                Ok(config.clone())
+            }
         }
     }
+}
+
+/// The structured 400 for a machine [`MachineConfig::check`] refuses.
+fn bad_machine(err: pmt_uarch::MachineError) -> ApiError {
+    ApiError::bad_request("bad_machine", err.to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Breaks one field of a machine.
+    type Breaker = fn(&mut MachineConfig);
 
     #[test]
     fn every_listed_name_resolves() {
@@ -101,6 +113,24 @@ mod tests {
             config: None,
         };
         assert_eq!(neither.resolve().unwrap_err().body.code, "missing_machine");
+    }
+
+    #[test]
+    fn degenerate_inline_machines_are_bad_machine_errors() {
+        let cases: [(&str, Breaker); 4] = [
+            ("core.rob_size", |m| m.core.rob_size = 0),
+            ("core.dispatch_width", |m| m.core.dispatch_width = 0),
+            ("caches.l1d.line_bytes", |m| m.caches.l1d.line_bytes = 0),
+            ("core.frequency_ghz", |m| m.core.frequency_ghz = f64::NAN),
+        ];
+        for (field, break_it) in cases {
+            let mut m = MachineConfig::nehalem();
+            break_it(&mut m);
+            let err = MachineSpec::inline(m).resolve().unwrap_err();
+            assert_eq!(err.status, 400);
+            assert_eq!(err.body.code, "bad_machine");
+            assert!(err.body.message.contains(field), "{}", err.body.message);
+        }
     }
 
     #[test]

@@ -209,6 +209,17 @@ mod tests {
     }
 
     #[test]
+    fn every_point_of_every_named_space_passes_the_machine_check() {
+        for name in SPACE_NAMES {
+            let space = SpaceSpec::named(name).resolve().unwrap();
+            for i in 0..space.len() {
+                let machine = space.point_at(i).machine;
+                assert_eq!(machine.check(), Ok(()), "space `{name}` point {i}");
+            }
+        }
+    }
+
+    #[test]
     fn product_spec_matches_the_direct_builder() {
         let spec = SpaceSpec::product(
             None,

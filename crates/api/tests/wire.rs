@@ -293,3 +293,41 @@ fn named_spaces_resolve_to_the_documented_sizes() {
         assert_eq!(space.len(), points, "space `{name}`");
     }
 }
+
+/// A degenerate inline machine arrives as a well-formed request body and
+/// is refused at resolve time with its own structured 400 naming the
+/// field, before any model code can divide by it.
+#[test]
+fn degenerate_inline_machine_is_a_structured_bad_machine_error() {
+    let valid = PredictRequest::new(
+        "mcf",
+        MachineSpec::inline(pmt_uarch::MachineConfig::nehalem()),
+    );
+    let json = serde_json::to_string(&valid).unwrap();
+    for (from, to, field) in [
+        ("\"rob_size\":128", "\"rob_size\":0", "core.rob_size"),
+        (
+            "\"line_bytes\":64",
+            "\"line_bytes\":0",
+            "caches.l1i.line_bytes",
+        ),
+        (
+            "\"dispatch_width\":4",
+            "\"dispatch_width\":0",
+            "core.dispatch_width",
+        ),
+        (
+            "\"frequency_ghz\":2.66",
+            "\"frequency_ghz\":-1.0",
+            "core.frequency_ghz",
+        ),
+    ] {
+        assert!(json.contains(from), "request bytes carry {from}");
+        let req: PredictRequest = serde_json::from_str(&json.replacen(from, to, 1)).unwrap();
+        let err = req.machine.resolve().unwrap_err();
+        assert_eq!(err.status, 400);
+        assert_eq!(err.body.code, "bad_machine");
+        assert!(err.body.message.contains(field), "{}", err.body.message);
+    }
+    assert!(valid.machine.resolve().is_ok());
+}

@@ -28,6 +28,19 @@ impl BranchPenalty {
 /// cycle, until the `interval_uops` of one misprediction interval have
 /// been dispatched; the resolution time is then the average instruction
 /// latency times the average branch path of the *occupied* ROB fraction.
+///
+/// # The converged exit
+///
+/// One fill/drain step maps `occupancy` to a new `occupancy` and reads
+/// nothing else that changes: the fill never reads `remaining`, and the
+/// result reads only the final occupancy. So once a step leaves
+/// `occupancy` unchanged (`==`), every later step would repeat it, and
+/// the loop stops there with the very occupancy the full walk would end
+/// on. (`-0.0 == 0.0` is no exception: the two give the same fill sum
+/// and the same rounded occupancy.) Walks that never settle reuse the
+/// previous `CP(occ)` while the rounded occupancy repeats — `cp` is a
+/// pure function, so this replays the value it would compute. Both are
+/// exact, so the result is bit-identical to stepping every iteration.
 pub fn branch_resolution_time(
     deps: &DependenceProfile,
     rob_size: u32,
@@ -46,7 +59,10 @@ pub fn branch_resolution_time(
 
     let max_iters = 100_000;
     let mut iters = 0;
+    // The last rounded occupancy and its (floored) `CP`.
+    let mut cp_at: Option<(u32, f64)> = None;
     while remaining > d && iters < max_iters {
+        let before = occupancy;
         // Fill.
         if occupancy + d <= rob {
             remaining -= d;
@@ -57,12 +73,22 @@ pub fn branch_resolution_time(
         }
         // Drain at I(ROB_i).
         let occ_rounded = (occupancy.round() as u32).max(1);
-        let cp_i = deps.cp(occ_rounded).max(1.0);
+        let cp_i = match cp_at {
+            Some((occ, cp)) if occ == occ_rounded => cp,
+            _ => {
+                let cp = deps.cp(occ_rounded).max(1.0);
+                cp_at = Some((occ_rounded, cp));
+                cp
+            }
+        };
         let drain = (occupancy / (avg_latency.max(0.1) * cp_i))
             .min(d)
             .max(drain_full.min(d).min(occupancy));
         occupancy = (occupancy - drain).max(0.0);
         iters += 1;
+        if occupancy == before {
+            break;
+        }
     }
 
     // The branch resolves against the ABP of the instructions still in
@@ -158,5 +184,126 @@ mod tests {
         let p = profile_with_chains(false);
         let r = branch_resolution_time(&p, 16, 1, 1e9, 0.0);
         assert!(r.is_finite());
+    }
+
+    /// The step-every-iteration walk [`branch_resolution_time`] replaced:
+    /// one fill, one fresh `CP` interpolation and one drain per
+    /// iteration, until the interval is dispatched or the cap is hit.
+    fn stepping_oracle(
+        deps: &DependenceProfile,
+        rob_size: u32,
+        dispatch_width: u32,
+        interval_uops: f64,
+        avg_latency: f64,
+    ) -> f64 {
+        let rob = rob_size as f64;
+        let d = dispatch_width as f64;
+        let mut remaining = interval_uops.max(1.0);
+        let mut occupancy: f64 = 0.0;
+        let cp_full = deps.cp(rob_size).max(1.0);
+        let drain_full = (rob / (avg_latency.max(0.1) * cp_full)).max(0.1);
+        let max_iters = 100_000;
+        let mut iters = 0;
+        while remaining > d && iters < max_iters {
+            if occupancy + d <= rob {
+                remaining -= d;
+                occupancy += d;
+            } else {
+                remaining -= rob - occupancy;
+                occupancy = rob;
+            }
+            let occ_rounded = (occupancy.round() as u32).max(1);
+            let cp_i = deps.cp(occ_rounded).max(1.0);
+            let drain = (occupancy / (avg_latency.max(0.1) * cp_i))
+                .min(d)
+                .max(drain_full.min(d).min(occupancy));
+            occupancy = (occupancy - drain).max(0.0);
+            iters += 1;
+        }
+        let occ_rounded = (occupancy.round() as u32).max(1);
+        avg_latency * deps.abp(occ_rounded).max(1.0)
+    }
+
+    /// A dependence profile with an arbitrary grid and arbitrary (not
+    /// necessarily monotone, possibly zero) AP/ABP/CP values.
+    fn synthetic_profile(grid: &[u32], abp: &[f64], cp: &[f64]) -> DependenceProfile {
+        let json =
+            format!("{{\"rob_sizes\":{grid:?},\"ap\":{abp:?},\"abp\":{abp:?},\"cp\":{cp:?}}}");
+        serde_json::from_str(&json).expect("synthetic profile parses")
+    }
+
+    /// `(grid, abp, cp)` columns: 1–8 distinct sorted ROB sizes, values
+    /// spanning "no chains" to "one serial chain" and beyond.
+    fn random_columns() -> impl Strategy<Value = (Vec<u32>, Vec<f64>, Vec<f64>)> {
+        prop::collection::vec((1u32..=1024, 0.0f64..2.0, 0.0f64..1.5), 1..=8).prop_map(|rows| {
+            let mut rows = rows;
+            rows.sort_by_key(|r| r.0);
+            rows.dedup_by_key(|r| r.0);
+            let grid = rows.iter().map(|r| r.0).collect();
+            let abp = rows.iter().map(|r| r.1 * r.0 as f64).collect();
+            let cp = rows.iter().map(|r| r.2 * r.0 as f64).collect();
+            (grid, abp, cp)
+        })
+    }
+
+    /// Degenerate inputs: the one `terminates_on_degenerate_input`
+    /// drives, plus zero-sized machines and non-finite scalars. Each
+    /// must give exactly the stepping walk's bits.
+    #[test]
+    fn converged_exit_matches_stepping_on_degenerate_inputs() {
+        let inputs = [
+            (16, 1, 1e9, 0.0),
+            (0, 4, 1e9, 1.0),
+            (128, 0, 1e9, 1.0),
+            (0, 0, 1e9, 0.0),
+            (1, 1, 1.0, 0.0),
+            (512, 8, f64::INFINITY, 50.0),
+            (64, 4, f64::NAN, 2.0),
+            (64, 4, 1e6, f64::NAN),
+            (u32::MAX, 8, 1e9, 1.0),
+        ];
+        let flat = synthetic_profile(&[1, 64], &[0.0, 0.0], &[0.0, 0.0]);
+        for deps in [profile_with_chains(true), profile_with_chains(false), flat] {
+            for (rob, width, interval, lat) in inputs {
+                assert_eq!(
+                    branch_resolution_time(&deps, rob, width, interval, lat).to_bits(),
+                    stepping_oracle(&deps, rob, width, interval, lat).to_bits(),
+                    "rob {rob} width {width} interval {interval} lat {lat}"
+                );
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The converged exit and the cached `CP` change no bit of the
+        /// result, on random dependence profiles, machines and intervals.
+        #[test]
+        fn converged_exit_matches_stepping_bit_for_bit(
+            (grid, abp, cp) in random_columns(),
+            rob in 1u32..=512,
+            width in 1u32..=8,
+            interval_exp in 0.0f64..9.0,
+            lat in 0.0f64..50.0,
+            serial in any::<bool>(),
+        ) {
+            let interval = 10f64.powf(interval_exp);
+            for deps in [synthetic_profile(&grid, &abp, &cp), profile_with_chains(serial)] {
+                prop_assert_eq!(
+                    branch_resolution_time(&deps, rob, width, interval, lat).to_bits(),
+                    stepping_oracle(&deps, rob, width, interval, lat).to_bits(),
+                    "grid {:?} cp {:?} rob {} width {} interval {} lat {}",
+                    grid, cp, rob, width, interval, lat
+                );
+                // The input of `terminates_on_degenerate_input`.
+                prop_assert_eq!(
+                    branch_resolution_time(&deps, 16, 1, 1e9, 0.0).to_bits(),
+                    stepping_oracle(&deps, 16, 1, 1e9, 0.0).to_bits()
+                );
+            }
+        }
     }
 }

@@ -32,11 +32,13 @@
 //! * **Critical paths and branch penalties** are keyed by their complete
 //!   input sets — `(window, rob)` for CP(ROB), and the window plus every
 //!   scalar the leaky-bucket walk (Alg 3.2) reads for the branch
-//!   penalty. The walk iterates up to the misprediction interval with a
-//!   dependency-curve interpolation per step, which makes it the single
-//!   most expensive machine-dependent computation in a sweep — and its
-//!   inputs are untouched by frequency, MSHR and last-level-cache axes,
-//!   so most points replay it from the memo.
+//!   penalty. The walk steps until the ROB occupancy settles (or the
+//!   misprediction interval is dispatched), interpolating the
+//!   dependency curve whenever the rounded occupancy changes, which
+//!   still makes it one of the most expensive machine-dependent
+//!   computations in a sweep — and its inputs are untouched by
+//!   frequency, MSHR and last-level-cache axes, so most points replay
+//!   it from the memo.
 //!
 //! Memo hits are what make batching ≥3× faster on sweep-shaped spaces:
 //! neighbouring design points share most axes, so most points reuse
@@ -47,7 +49,7 @@ use crate::branch_penalty::{branch_penalty, BranchPenalty};
 use crate::cache_model::CacheModel;
 use crate::config::ModelConfig;
 use crate::kernels::arena::CurveArena;
-use crate::mlp::MemoryBehavior;
+use crate::mlp::{MemoryBehavior, StrideScratch};
 use crate::model::{
     stride_stream_behavior, CurveId, EvalHooks, Evaluator, PredictionSummary, WindowInputs,
 };
@@ -175,6 +177,8 @@ pub struct BatchPredictor<'p, 'a> {
     /// Running hit/miss tallies, bumped inside the hooks; the entry
     /// counts are read off the memo tables at snapshot time.
     counters: MemoStats,
+    /// Buffers every stride-walk memo miss reuses.
+    scratch: StrideScratch,
 }
 
 impl<'p, 'a> BatchPredictor<'p, 'a> {
@@ -189,6 +193,7 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
             cp_memo: HashMap::new(),
             branch_memo: HashMap::new(),
             counters: MemoStats::default(),
+            scratch: StrideScratch::default(),
         }
     }
 
@@ -220,6 +225,7 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
             cp_memo: &mut self.cp_memo,
             branch_memo: &mut self.branch_memo,
             counters: &mut self.counters,
+            scratch: &mut self.scratch,
         };
         Evaluator {
             machine,
@@ -273,6 +279,7 @@ struct BatchHooks<'s> {
     cp_memo: &'s mut HashMap<(u32, u32), f64>,
     branch_memo: &'s mut HashMap<BranchKey, BranchPenalty>,
     counters: &'s mut MemoStats,
+    scratch: &'s mut StrideScratch,
 }
 
 impl EvalHooks for BatchHooks<'_> {
@@ -288,6 +295,10 @@ impl EvalHooks for BatchHooks<'_> {
                 *slot.insert(self.arena.evaluate(curve, lines))
             }
         }
+    }
+
+    fn stride_scratch(&mut self) -> &mut StrideScratch {
+        self.scratch
     }
 
     fn stride(
@@ -323,6 +334,7 @@ impl EvalHooks for BatchHooks<'_> {
                     inp,
                     loads,
                     store_llc_misses,
+                    self.scratch,
                 ))
             }
         };

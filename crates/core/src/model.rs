@@ -6,7 +6,7 @@ use crate::config::{EvaluationMode, MlpModelKind, ModelConfig};
 use crate::dispatch::{effective_dispatch_rate, DispatchBreakdown};
 use crate::kernels::arena::CurveArena;
 use crate::llc_chaining::{chain_penalty_total, ChainInputs};
-use crate::mlp::{cold_miss_mlp, MemoryBehavior, StrideMlpModel, VirtualStream};
+use crate::mlp::{cold_miss_mlp, MemoryBehavior, StrideMlpModel, StrideScratch, VirtualStream};
 use crate::prepared::{PreparedProfile, PreparedWindow};
 use pmt_profiler::{
     ApplicationProfile, DependenceProfile, LoadDependenceDistribution, MicroTraceProfile,
@@ -318,7 +318,7 @@ impl IntervalModel {
     /// [`PreparedProfile::new`]. Bit-identical to
     /// [`predict`](Self::predict).
     pub fn predict_prepared(&self, prepared: &PreparedProfile<'_>) -> Prediction {
-        self.predict_with(prepared, &mut ArenaHooks(prepared.arena()))
+        self.predict_with(prepared, &mut ArenaHooks::new(prepared))
     }
 
     /// The sweep-oriented variant of
@@ -330,7 +330,7 @@ impl IntervalModel {
     /// ([`Prediction::summary`]).
     pub fn predict_summary(&self, prepared: &PreparedProfile<'_>) -> PredictionSummary {
         self.evaluator()
-            .run(prepared, false, &mut ArenaHooks(prepared.arena()))
+            .run(prepared, false, &mut ArenaHooks::new(prepared))
             .0
     }
 
@@ -406,6 +406,9 @@ pub(crate) trait EvalHooks {
     /// critical reuse distances and miss ratios at `lines`.
     fn cache_model(&mut self, id: CurveId, lines: [u64; 3]) -> CacheModel;
 
+    /// The buffers the stride walk reuses across windows.
+    fn stride_scratch(&mut self) -> &mut StrideScratch;
+
     /// Run the stride-MLP virtual-stream walk for one window.
     fn stride(
         &mut self,
@@ -415,7 +418,14 @@ pub(crate) trait EvalHooks {
         loads: f64,
         store_llc_misses: f64,
     ) -> MemoryBehavior {
-        stride_stream_behavior(machine, deff, inp, loads, store_llc_misses)
+        stride_stream_behavior(
+            machine,
+            deff,
+            inp,
+            loads,
+            store_llc_misses,
+            self.stride_scratch(),
+        )
     }
 
     /// CP(ROB): the window dependency profile's critical-path length.
@@ -443,12 +453,28 @@ pub(crate) trait EvalHooks {
 
 /// The memo-less hooks behind [`IntervalModel`]: every cache query
 /// answered straight from the prepared profile's curve arena, everything
-/// else computed directly.
-struct ArenaHooks<'p>(&'p CurveArena);
+/// else computed directly; one stride scratch serves every window.
+struct ArenaHooks<'p> {
+    arena: &'p CurveArena,
+    scratch: StrideScratch,
+}
+
+impl<'p> ArenaHooks<'p> {
+    fn new(prepared: &'p PreparedProfile<'_>) -> ArenaHooks<'p> {
+        ArenaHooks {
+            arena: prepared.arena(),
+            scratch: StrideScratch::default(),
+        }
+    }
+}
 
 impl EvalHooks for ArenaHooks<'_> {
     fn cache_model(&mut self, id: CurveId, lines: [u64; 3]) -> CacheModel {
-        self.0.evaluate(id.arena_index(), lines)
+        self.arena.evaluate(id.arena_index(), lines)
+    }
+
+    fn stride_scratch(&mut self) -> &mut StrideScratch {
+        &mut self.scratch
     }
 }
 
@@ -461,6 +487,7 @@ pub(crate) fn stride_stream_behavior(
     inp: &WindowInputs<'_>,
     loads: f64,
     store_llc_misses: f64,
+    scratch: &mut StrideScratch,
 ) -> MemoryBehavior {
     StrideMlpModel::new(machine, deff).evaluate_stream(
         inp.stream,
@@ -470,6 +497,7 @@ pub(crate) fn stride_stream_behavior(
         loads,
         store_llc_misses,
         inp.window_cold,
+        scratch,
     )
 }
 

@@ -11,14 +11,22 @@
 //! only copy of the fits; the fitted models themselves are dropped. It
 //! also precomputes the per-window μop class counts, entropy fallbacks
 //! and the stride-MLP virtual-stream skeletons — all of which depend
-//! only on the profile. Everything is read-only after construction, so
+//! only on the profile. Each skeleton carries per-static-load reuse
+//! tables: the suffix sums of the load's sampled reuse counts in
+//! distance order (whose first entry is its sampled total), searched
+//! against the load's own sorted `reuse` list, or against a sorted copy
+//! of the window's distances when some list arrived unsorted (a
+//! hand-written `--profile` or registered JSON profile; the profiler
+//! always sorts). A design point's per-load miss probability is then
+//! one binary search. Everything is read-only after construction, so
 //! rayon workers and batch predictors evaluating different design points
 //! share one preparation and never refit or copy a curve.
 //!
 //! Per design point, [`IntervalModel::predict_prepared`] then performs
 //! only the machine-*dependent* work: searched miss-ratio /
-//! critical-reuse-distance queries against the arena plus the Eq 3.1
-//! arithmetic.
+//! critical-reuse-distance queries against the arena, searched
+//! per-load miss probabilities against the reuse tables, plus the
+//! Eq 3.1 arithmetic.
 //!
 //! ```
 //! use pmt_core::{IntervalModel, PreparedProfile};

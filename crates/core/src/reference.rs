@@ -8,6 +8,7 @@
 //! production entry point: it refits every curve on every call.
 
 use crate::cache_model::CacheModel;
+use crate::mlp::StrideScratch;
 use crate::model::{CurveId, EvalHooks, IntervalModel, Prediction};
 use crate::prepared::PreparedProfile;
 use pmt_statstack::StackDistanceModel;
@@ -22,6 +23,7 @@ pub fn predict(model: &IntervalModel, prepared: &PreparedProfile<'_>) -> Predict
 /// Every curve refitted, in `CurveId` evaluation order.
 struct DirectHooks {
     models: Vec<StackDistanceModel>,
+    scratch: StrideScratch,
 }
 
 impl DirectHooks {
@@ -37,12 +39,19 @@ impl DirectHooks {
             .chain(windows)
             .map(StackDistanceModel::from_reuse)
             .collect();
-        DirectHooks { models }
+        DirectHooks {
+            models,
+            scratch: StrideScratch::default(),
+        }
     }
 }
 
 impl EvalHooks for DirectHooks {
     fn cache_model(&mut self, id: CurveId, lines: [u64; 3]) -> CacheModel {
         CacheModel::from_fitted(&self.models[id.arena_index() as usize], lines)
+    }
+
+    fn stride_scratch(&mut self) -> &mut StrideScratch {
+        &mut self.scratch
     }
 }

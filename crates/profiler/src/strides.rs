@@ -70,6 +70,11 @@ impl StaticLoadProfile {
     /// Miss probability of this load for a cache whose critical reuse
     /// distance is `critical_rd` (thesis §4.5: per-load miss rates from
     /// per-load reuse distances + StatStack).
+    ///
+    /// The stride-MLP walk answers the same question from per-load
+    /// suffix-sum tables prepared once per profile (`pmt_core::mlp`);
+    /// this two-pass form is the oracle those tables are tested against
+    /// bit for bit.
     pub fn miss_probability(&self, critical_rd: u64) -> f64 {
         if self.count == 0 {
             return 0.0;

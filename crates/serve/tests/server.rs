@@ -439,13 +439,19 @@ fn solo_daemon_counts_leaders_and_cache_hits_in_the_partition() {
     solo.stop();
 }
 
-/// A predict whose inlined machine has `line_bytes: 0`: resolution
-/// accepts it (only named specs are validated), and the first cache
-/// curve evaluated inside the flight divides by zero.
+/// A predict whose inlined machine has an empty per-class execution
+/// resource table: resolution accepts it (`MachineConfig::check` bounds
+/// only what the model divides by), and the first μop-latency lookup
+/// inside the flight indexes past the table's end.
 fn poison_predict() -> String {
-    let mut m = pmt_api::machine_by_name("nehalem").unwrap();
-    m.caches.l3.line_bytes = 0;
-    serde_json::to_string(&PredictRequest::new("astar", MachineSpec::inline(m))).unwrap()
+    let m = pmt_api::machine_by_name("nehalem").unwrap();
+    let json =
+        serde_json::to_string(&PredictRequest::new("astar", MachineSpec::inline(m))).unwrap();
+    let start = json
+        .find("\"resources\":[")
+        .expect("exec resources on the wire");
+    let end = start + json[start..].find(']').expect("resources list closes") + 1;
+    format!("{}\"resources\":[]{}", &json[..start], &json[end..])
 }
 
 #[test]
@@ -490,6 +496,105 @@ fn batch_leader_panic_fails_riders_with_structured_500s_and_frees_the_queue() {
     assert_eq!(post(addr, "/v1/predict", &body).status, 500);
     let good = post(addr, "/v1/predict", &dvfs_request(2.66));
     assert_eq!(good.status, 200, "{}", good.body);
+    server.stop();
+}
+
+/// A machine the model would divide by zero on (`rob_size: 0`) rides
+/// into a batched flight with valid DVFS points: it is refused before
+/// admission with its own structured 400 naming the field, and every
+/// valid rider gets exactly the solo daemon's bytes.
+#[test]
+fn bad_machine_in_a_flight_gets_its_own_400_and_riders_match_solo() {
+    let server = serve(ServeConfig {
+        threads: 2,
+        batch_window_ms: 200,
+        ..ServeConfig::default()
+    });
+    let solo = serve(ServeConfig {
+        batch_window_ms: 0,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let mut bad = pmt_api::machine_by_name("nehalem").unwrap();
+    bad.core.rob_size = 0;
+    let bad =
+        serde_json::to_string(&PredictRequest::new("astar", MachineSpec::inline(bad))).unwrap();
+    let bodies: Vec<String> = (0..4)
+        .map(|i| {
+            if i == 1 {
+                bad.clone()
+            } else {
+                dvfs_request(2.1 + 0.3 * i as f64)
+            }
+        })
+        .collect();
+
+    let barrier = std::sync::Barrier::new(bodies.len());
+    let replies: Vec<Reply> = std::thread::scope(|scope| {
+        let handles: Vec<_> = bodies
+            .iter()
+            .map(|body| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    barrier.wait();
+                    post(addr, "/v1/predict", body)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (body, reply) in bodies.iter().zip(&replies) {
+        if *body == bad {
+            assert_eq!(reply.status, 400, "{}", reply.body);
+            let err: pmt_api::ErrorBody = serde_json::from_str(&reply.body).unwrap();
+            assert_eq!(err.code, "bad_machine");
+            assert!(err.message.contains("core.rob_size"), "{}", err.message);
+        } else {
+            assert_eq!(reply.status, 200, "{}", reply.body);
+            let control = post(solo.addr(), "/v1/predict", body);
+            assert_eq!(
+                reply.body, control.body,
+                "rider bytes must equal solo bytes"
+            );
+        }
+    }
+    assert_eq!(metric(addr, "failed_requests"), 0);
+    assert_eq!(metric(addr, "points_predicted"), 3);
+    let good = post(addr, "/v1/predict", &dvfs_request(2.66));
+    assert_eq!(good.status, 200, "{}", good.body);
+    server.stop();
+    solo.stop();
+}
+
+/// ~500k nested `[` in an unknown field of a predict body: the JSON
+/// skip refuses it as a structured 400 `bad_json` (a recursive skip
+/// overflowed the worker's stack and aborted the whole daemon), and the
+/// daemon keeps answering valid predicts.
+#[test]
+fn deeply_nested_unknown_field_is_bad_json_and_the_daemon_survives() {
+    let server = serve(ServeConfig::default());
+    let addr = server.addr();
+    let valid = dvfs_request(2.66);
+    for depth in [500_000, 129] {
+        let body = format!(
+            "{{\"padding\":{}{},{}",
+            "[".repeat(depth),
+            "]".repeat(depth),
+            &valid[1..]
+        );
+        let reply = post(addr, "/v1/predict", &body);
+        assert_eq!(reply.status, 400, "{}", reply.body);
+        let err: pmt_api::ErrorBody = serde_json::from_str(&reply.body).unwrap();
+        assert_eq!(err.code, "bad_json");
+        assert!(err.message.contains("nesting deeper"), "{}", err.message);
+    }
+    let unclosed = format!("{{\"padding\":{}", "[".repeat(500_000));
+    assert_eq!(post(addr, "/v1/predict", &unclosed).status, 400);
+    // Shallow unknown fields are still skipped as before.
+    let shallow = format!("{{\"padding\":[[1],{{\"a\":[]}}],{}", &valid[1..]);
+    let good = post(addr, "/v1/predict", &shallow);
+    assert_eq!(good.status, 200, "{}", good.body);
+    assert_eq!(good.body, post(addr, "/v1/predict", &valid).body);
     server.stop();
 }
 

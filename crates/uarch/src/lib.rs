@@ -40,6 +40,6 @@ pub use cpi::{CpiComponent, CpiStack};
 pub use design_space::{l3_latency_for_kb, DesignPoint, DesignSpace, DesignSpaceIter};
 pub use dvfs::{nehalem_dvfs_points, OperatingPoint};
 pub use exec::{ExecConfig, OpResources, PortMap, PortRoute};
-pub use machine::MachineConfig;
+pub use machine::{MachineConfig, MachineError};
 pub use mem::MemoryConfig;
 pub use prefetch::PrefetcherConfig;

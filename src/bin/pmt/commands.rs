@@ -111,7 +111,7 @@ pub const PREDICT: Command = Command {
         Flag::value(
             "--machine",
             "M",
-            "nehalem (default) | nehalem-pf | low-power",
+            "nehalem (default) | nehalem-pf | low-power | machine JSON file",
         ),
         Flag::switch(
             "--json",
@@ -129,16 +129,18 @@ pub const PREDICT: Command = Command {
 pub fn predict(args: &[String]) -> Result<(), CliError> {
     let parsed = parse_or_return!(PREDICT, args);
     let profile = crate::load_profile(&parsed, "predict")?;
-    let machine_name = parsed.value("--machine").unwrap_or("nehalem");
+    let m = crate::machine(&parsed)?;
+    // A named machine travels by name; one loaded from a file inline.
+    let spec = match parsed.value("--machine") {
+        Some(name) if pmt::api::machine_by_name(name).is_none() => MachineSpec::inline(m.clone()),
+        name => MachineSpec::named(name.unwrap_or("nehalem")),
+    };
 
     if let Some(path) = parsed.value("--emit-request") {
         // The machine is inlined (not named) so scripted callers can
         // mutate individual fields — e.g. `frequency_ghz` — to
         // synthesize distinct design points against a daemon.
-        let m = MachineSpec::named(machine_name)
-            .resolve()
-            .map_err(api_err)?;
-        let req = PredictRequest::new(&profile.name, MachineSpec::inline(m));
+        let req = PredictRequest::new(&profile.name, MachineSpec::inline(m.clone()));
         let json = serde_json::to_string(&req).map_err(|e| e.to_string())?;
         std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("predict request -> {path}");
@@ -148,7 +150,7 @@ pub fn predict(args: &[String]) -> Result<(), CliError> {
         // The wire path: the same engine call the daemon answers with,
         // so these bytes match a served `/v1/predict` response.
         let prepared = PreparedProfile::new(&profile);
-        let req = PredictRequest::new(&profile.name, MachineSpec::named(machine_name));
+        let req = PredictRequest::new(&profile.name, spec);
         let resp = pmt::serve::engine::predict_response(&prepared, &req).map_err(api_err)?;
         let json = serde_json::to_string(&resp).map_err(|e| e.to_string())?;
         if let Some(path) = parsed.value("--out") {
@@ -161,7 +163,6 @@ pub fn predict(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let m = crate::machine(&parsed)?;
     let prediction = IntervalModel::new(&m).predict(&profile);
     let power = PowerModel::new(&m).power(&prediction.activity);
     println!("workload   : {}", profile.name);
@@ -206,7 +207,7 @@ pub const SIMULATE: Command = Command {
         Flag::value(
             "--machine",
             "M",
-            "nehalem (default) | nehalem-pf | low-power",
+            "nehalem (default) | nehalem-pf | low-power | machine JSON file",
         ),
     ],
 };
@@ -471,7 +472,7 @@ pub const CORUN: Command = Command {
         Flag::value(
             "--machine",
             "M",
-            "nehalem (default) | nehalem-pf | low-power",
+            "nehalem (default) | nehalem-pf | low-power | machine JSON file",
         ),
     ],
 };
@@ -531,7 +532,7 @@ pub const SMT: Command = Command {
         Flag::value(
             "--machine",
             "M",
-            "nehalem (default) | nehalem-pf | low-power",
+            "nehalem (default) | nehalem-pf | low-power | machine JSON file",
         ),
     ],
 };

@@ -142,14 +142,56 @@ fn read_profile(path: &str) -> Result<ApplicationProfile, CliError> {
     serde_json::from_str(&json).map_err(|e| CliError::Runtime(format!("parsing {path}: {e}")))
 }
 
-/// Resolve `--machine` through the shared wire registry
-/// ([`pmt::api::machine_by_name`]), defaulting to `nehalem`.
+/// Resolve `--machine`: a name from the shared wire registry
+/// ([`pmt::api::machine_by_name`], default `nehalem`) or the path of a
+/// `MachineConfig` JSON file, which must pass [`MachineConfig::check`].
 fn machine(parsed: &args::Parsed) -> Result<MachineConfig, CliError> {
     let name = parsed.value("--machine").unwrap_or("nehalem");
-    pmt::api::machine_by_name(name).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown machine `{name}` for `--machine` (known: {})",
-            pmt::api::MACHINE_NAMES.join(", ")
-        ))
-    })
+    if let Some(m) = pmt::api::machine_by_name(name) {
+        return Ok(m);
+    }
+    if std::path::Path::new(name).is_file() {
+        return read_machine(name);
+    }
+    Err(CliError::Usage(format!(
+        "unknown machine `{name}` for `--machine` (known: {}, or a machine JSON file)",
+        pmt::api::MACHINE_NAMES.join(", ")
+    )))
+}
+
+/// Load a [`MachineConfig`] from a JSON file and refuse one the model
+/// cannot evaluate, naming the offending field.
+fn read_machine(path: &str) -> Result<MachineConfig, CliError> {
+    let json = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Runtime(format!("reading {path}: {e}")))?;
+    let m: MachineConfig = serde_json::from_str(&json)
+        .map_err(|e| CliError::Runtime(format!("parsing {path}: {e}")))?;
+    m.check()
+        .map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
+    Ok(m)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn machine_files_are_checked_and_name_the_bad_field() {
+        let dir = std::env::temp_dir().join(format!("pmt-machine-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = dir.join("good.json");
+        let bad = dir.join("bad.json");
+        let mut m = MachineConfig::low_power();
+        std::fs::write(&good, serde_json::to_string(&m).unwrap()).unwrap();
+        m.caches.l2.line_bytes = 48;
+        std::fs::write(&bad, serde_json::to_string(&m).unwrap()).unwrap();
+
+        let loaded = read_machine(good.to_str().unwrap()).unwrap();
+        assert_eq!(loaded, MachineConfig::low_power());
+        match read_machine(bad.to_str().unwrap()) {
+            Err(CliError::Runtime(msg)) => assert!(msg.contains("caches.l2.line_bytes"), "{msg}"),
+            other => panic!("expected a runtime error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
